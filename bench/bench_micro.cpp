@@ -295,7 +295,6 @@ void cached_retrain_step(cache::ArtifactCache& cache, const dataset::Dataset& da
                          const std::vector<truth::LabeledQuery>& corpus,
                          const std::vector<std::size_t>& queried_ids,
                          const std::vector<std::size_t>& truth_labels) {
-  const ckpt::Digest128 dd = data.content_digest();
   Rng rng(99);
   experts::BovwConfig bovw;  // production-shaped epochs: the step being memoized
   bovw.train.epochs = 30;
@@ -304,8 +303,8 @@ void cached_retrain_step(cache::ArtifactCache& cache, const dataset::Dataset& da
   roster.push_back(std::make_unique<experts::BovwClassifier>(bovw));
   roster.push_back(std::make_unique<experts::BovwClassifier>(bovw));
   experts::ExpertCommittee committee(std::move(roster));
-  committee.train_all(data, data.train_indices, rng, &cache, dd);
-  committee.retrain_all(data, queried_ids, truth_labels, rng, &cache, dd);
+  committee.train_all(data, data.train_indices, rng, &cache);
+  committee.retrain_all(data, queried_ids, truth_labels, rng, &cache);
   truth::CqcConfig cfg;  // production default rounds (truth/cqc.hpp)
   cfg.gbdt.engine = gbdt::SplitEngine::kHistogram;
   core::CqcModule cqc(cfg);

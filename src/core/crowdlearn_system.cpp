@@ -68,14 +68,8 @@ void CrowdLearnSystem::enable_observability() {
 void CrowdLearnSystem::initialize(const dataset::Dataset& data,
                                   const crowd::PilotResult& pilot) {
   // A committee cloned from a previous run arrives pre-trained; reuse it.
-  if (!committee_.all_trained()) {
-    if (cfg_.artifact_cache != nullptr) {
-      committee_.train_all(data, data.train_indices, rng_, cfg_.artifact_cache.get(),
-                           data.content_digest());
-    } else {
-      committee_.train_all(data, data.train_indices, rng_);
-    }
-  }
+  if (!committee_.all_trained())
+    committee_.train_all(data, data.train_indices, rng_, cfg_.artifact_cache.get());
   cqc_.fit_from_pilot(pilot, data);
   ipd_.warm_start_from_pilot(pilot);
   initialized_ = true;
@@ -149,7 +143,6 @@ CycleOutcome CrowdLearnSystem::run_cycle(const dataset::Dataset& data,
   // by IPD's remaining budget). The platform's simulated crowd delay is not
   // part of the AI-side wall clock.
   stage(CycleStage::kCrowd);
-  const double ai_before_crowd = ai_clock.elapsed_seconds();
   std::vector<crowd::QueryResult> results;
   results.reserve(sel.queried_ids.size());
   double delay_sum = 0.0;
@@ -242,17 +235,11 @@ CycleOutcome CrowdLearnSystem::run_cycle(const dataset::Dataset& data,
   if (!truth_labels.empty()) {
     obs::SpanScope retrain_span(obs::tracer_of(obs_.get()), "mic.retrain", "core");
     retrain_span.arg("labels", static_cast<double>(truth_labels.size()));
-    if (cfg_.artifact_cache != nullptr) {
-      mic_.retrain(committee_, data, ok_ids, truth_labels, rng_, cfg_.artifact_cache.get(),
-                   data.content_digest());
-    } else {
-      mic_.retrain(committee_, data, ok_ids, truth_labels, rng_);
-    }
+    mic_.retrain(committee_, data, ok_ids, truth_labels, rng_, cfg_.artifact_cache.get());
   }
 
   stage(CycleStage::kRecord);
   out.algorithm_delay_seconds = ai_clock.elapsed_seconds();
-  (void)ai_before_crowd;  // platform calls are simulated and effectively instant
   out.spent_cents = platform.total_spent_cents() - spent_before;
 
   if (obs::active(obs_.get())) {

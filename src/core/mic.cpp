@@ -61,17 +61,10 @@ std::vector<double> Mic::update_committee_weights(
 
 void Mic::retrain(experts::ExpertCommittee& committee, const dataset::Dataset& data,
                   const std::vector<std::size_t>& queried_ids,
-                  const std::vector<std::size_t>& truth_labels, Rng& rng) const {
-  if (!cfg_.enable_retraining || queried_ids.empty()) return;
-  committee.retrain_all(data, queried_ids, truth_labels, rng);
-}
-
-void Mic::retrain(experts::ExpertCommittee& committee, const dataset::Dataset& data,
-                  const std::vector<std::size_t>& queried_ids,
                   const std::vector<std::size_t>& truth_labels, Rng& rng,
-                  cache::ArtifactCache* cache, const ckpt::Digest128& data_digest) const {
+                  cache::ArtifactCache* cache) const {
   if (!cfg_.enable_retraining || queried_ids.empty()) return;
-  committee.retrain_all(data, queried_ids, truth_labels, rng, cache, data_digest);
+  committee.retrain_all(data, queried_ids, truth_labels, rng, cache);
 }
 
 }  // namespace crowdlearn::core

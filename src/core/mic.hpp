@@ -49,20 +49,16 @@ class Mic {
       const std::vector<std::vector<std::vector<double>>>& votes,
       const std::vector<std::vector<double>>& truth_dists) const;
 
-  /// Apply strategy 2: retrain every expert on CQC's hard labels.
-  void retrain(experts::ExpertCommittee& committee, const dataset::Dataset& data,
-               const std::vector<std::size_t>& queried_ids,
-               const std::vector<std::size_t>& truth_labels, Rng& rng) const;
-
-  /// Cached variant (src/cache, docs/CACHING.md): per-expert fine-tunes are
-  /// memoized in `cache` keyed by the dataset content digest plus the queried
-  /// ids, labels, each expert's spec and pre-retrain state, and its RNG child
-  /// stream. Bit-identical to the uncached overload at any thread count; a
-  /// null cache degrades to it exactly.
+  /// Apply strategy 2: retrain every expert on CQC's hard labels. With an
+  /// artifact cache (src/cache, docs/CACHING.md) per-expert fine-tunes are
+  /// memoized, keyed by the dataset content digest plus the queried ids,
+  /// labels, each expert's spec and pre-retrain state, and its RNG child
+  /// stream — bit-identical to recompute at any thread count. A null cache
+  /// is plain compute.
   void retrain(experts::ExpertCommittee& committee, const dataset::Dataset& data,
                const std::vector<std::size_t>& queried_ids,
                const std::vector<std::size_t>& truth_labels, Rng& rng,
-               cache::ArtifactCache* cache, const ckpt::Digest128& data_digest) const;
+               cache::ArtifactCache* cache = nullptr) const;
 
   const MicConfig& config() const { return cfg_; }
   bool offloading_enabled() const { return cfg_.enable_offloading; }

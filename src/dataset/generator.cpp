@@ -1,5 +1,6 @@
 #include "dataset/generator.hpp"
 
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 
@@ -195,29 +196,31 @@ std::size_t Dataset::failure_count(const std::vector<std::size_t>& ids) const {
 }
 
 ckpt::Digest128 Dataset::content_digest() const {
-  if (content_digest_memo == nullptr) {
-    ckpt::Hasher128 h;
-    h.str("crowdlearn.dataset.v1");
-    h.u64(images.size());
-    for (const DisasterImage& img : images) {
-      h.u64(img.id);
-      h.u64(label_index(img.true_label));
-      h.u64(label_index(img.apparent_label));
-      h.u64(static_cast<std::uint64_t>(img.failure));
-      h.u64(img.pixels.shape().channels);
-      h.u64(img.pixels.shape().height);
-      h.u64(img.pixels.shape().width);
-      h.vec_f64(img.pixels.data());
-      h.vec_f64(img.handcrafted);
-      h.vec_f64(img.truth_questionnaire.to_vector());
-      h.u8(img.crowd_confusing ? 1 : 0);
-      h.u64(img.confusable_label);
-    }
-    h.vec_sizes(train_indices);
-    h.vec_sizes(test_indices);
-    content_digest_memo = std::make_shared<const ckpt::Digest128>(h.digest());
+  // Expert steps running pool-parallel may race to fill the memo: each racer
+  // computes the same digest, and the shared_ptr is published atomically.
+  if (auto memo = std::atomic_load(&content_digest_memo)) return *memo;
+  ckpt::Hasher128 h;
+  h.str("crowdlearn.dataset.v1");
+  h.u64(images.size());
+  for (const DisasterImage& img : images) {
+    h.u64(img.id);
+    h.u64(label_index(img.true_label));
+    h.u64(label_index(img.apparent_label));
+    h.u64(static_cast<std::uint64_t>(img.failure));
+    h.u64(img.pixels.shape().channels);
+    h.u64(img.pixels.shape().height);
+    h.u64(img.pixels.shape().width);
+    h.vec_f64(img.pixels.data());
+    h.vec_f64(img.handcrafted);
+    h.vec_f64(img.truth_questionnaire.to_vector());
+    h.u8(img.crowd_confusing ? 1 : 0);
+    h.u64(img.confusable_label);
   }
-  return *content_digest_memo;
+  h.vec_sizes(train_indices);
+  h.vec_sizes(test_indices);
+  const ckpt::Digest128 digest = h.digest();
+  std::atomic_store(&content_digest_memo, std::make_shared<const ckpt::Digest128>(digest));
+  return digest;
 }
 
 }  // namespace crowdlearn::dataset

@@ -51,7 +51,8 @@ struct Dataset {
   /// metadata plus the train/test split — used as the dataset component of
   /// artifact-cache keys (docs/CACHING.md). Computed once and memoized; the
   /// memo travels with copies, so cloned tenants over the same corpus share
-  /// the work. Not part of equality and never checkpointed.
+  /// the work. Safe to call from several threads at once. Not part of
+  /// equality and never checkpointed.
   ckpt::Digest128 content_digest() const;
 
   /// Lazily filled by content_digest(); shared so Dataset stays cheap to

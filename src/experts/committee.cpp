@@ -161,34 +161,18 @@ void ExpertCommittee::run_forked(
   reinstate_quarantined();
 }
 
-void ExpertCommittee::train_all(const dataset::Dataset& data,
-                                const std::vector<std::size_t>& image_ids, Rng& rng) {
-  run_forked(rng, [&](std::size_t, DdaAlgorithm& e, Rng& child) {
-    e.train(data, image_ids, child);
-  });
-}
-
-void ExpertCommittee::retrain_all(const dataset::Dataset& data,
-                                  const std::vector<std::size_t>& image_ids,
-                                  const std::vector<std::size_t>& crowd_labels, Rng& rng) {
-  run_forked(rng, [&](std::size_t, DdaAlgorithm& e, Rng& child) {
-    e.retrain(data, image_ids, crowd_labels, child);
-  });
-}
-
 namespace {
 // Schema tags versioning the cached artifact layouts; bump on any change to
 // the key derivation or the stored payload (docs/CACHING.md).
-constexpr const char* kTrainSchema = "crowdlearn.expert.train.v1";
-constexpr const char* kRetrainSchema = "crowdlearn.expert.retrain.v1";
+constexpr const char* kTrainSchema = "crowdlearn.expert.train.v2";
+constexpr const char* kRetrainSchema = "crowdlearn.expert.retrain.v2";
 }  // namespace
 
 void ExpertCommittee::train_all(const dataset::Dataset& data,
                                 const std::vector<std::size_t>& image_ids, Rng& rng,
-                                cache::ArtifactCache* cache,
-                                const ckpt::Digest128& data_digest) {
+                                cache::ArtifactCache* cache) {
   run_forked(rng, [&](std::size_t, DdaAlgorithm& e, Rng& child) {
-    cached_expert_step(cache, kTrainSchema, e, data_digest, image_ids, {}, child,
+    cached_expert_step(cache, kTrainSchema, e, data, image_ids, {}, child,
                        [&] { e.train(data, image_ids, child); });
   });
 }
@@ -196,10 +180,9 @@ void ExpertCommittee::train_all(const dataset::Dataset& data,
 void ExpertCommittee::retrain_all(const dataset::Dataset& data,
                                   const std::vector<std::size_t>& image_ids,
                                   const std::vector<std::size_t>& crowd_labels, Rng& rng,
-                                  cache::ArtifactCache* cache,
-                                  const ckpt::Digest128& data_digest) {
+                                  cache::ArtifactCache* cache) {
   run_forked(rng, [&](std::size_t, DdaAlgorithm& e, Rng& child) {
-    cached_expert_step(cache, kRetrainSchema, e, data_digest, image_ids, crowd_labels,
+    cached_expert_step(cache, kRetrainSchema, e, data, image_ids, crowd_labels,
                        child, [&] { e.retrain(data, image_ids, crowd_labels, child); });
   });
 }

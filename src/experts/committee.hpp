@@ -52,23 +52,20 @@ class ExpertCommittee {
   bool all_trained() const;
 
   /// Train every expert on the same golden-labeled image set.
+  ///
+  /// With an artifact cache (src/cache, docs/CACHING.md) each expert's step
+  /// runs through cached_expert_step, so a previously-seen (spec, state,
+  /// data, labels, stream) tuple restores the stored post-step state instead
+  /// of recomputing — bit-identical to recompute at any thread count. A null
+  /// cache is plain compute.
   void train_all(const dataset::Dataset& data, const std::vector<std::size_t>& image_ids,
-                 Rng& rng);
+                 Rng& rng, cache::ArtifactCache* cache = nullptr);
 
-  /// Retrain every expert on crowd labels (MIC model-retraining strategy).
-  void retrain_all(const dataset::Dataset& data, const std::vector<std::size_t>& image_ids,
-                   const std::vector<std::size_t>& crowd_labels, Rng& rng);
-
-  /// Cached variants (src/cache, docs/CACHING.md): identical RNG forking and
-  /// dispatch, but each expert's step runs through cached_expert_step, so a
-  /// previously-seen (spec, state, data, labels, stream) tuple restores the
-  /// stored post-step state instead of recomputing. Bit-identical to the
-  /// uncached overloads at any thread count; a null cache degrades to them.
-  void train_all(const dataset::Dataset& data, const std::vector<std::size_t>& image_ids,
-                 Rng& rng, cache::ArtifactCache* cache, const ckpt::Digest128& data_digest);
+  /// Retrain every expert on crowd labels (MIC model-retraining strategy);
+  /// `cache` as for train_all.
   void retrain_all(const dataset::Dataset& data, const std::vector<std::size_t>& image_ids,
                    const std::vector<std::size_t>& crowd_labels, Rng& rng,
-                   cache::ArtifactCache* cache, const ckpt::Digest128& data_digest);
+                   cache::ArtifactCache* cache = nullptr);
 
   /// Individual expert votes for one image (one distribution per expert).
   std::vector<std::vector<double>> expert_votes(const dataset::DisasterImage& image);
@@ -124,10 +121,10 @@ class ExpertCommittee {
   void load_state(ckpt::Reader& r);
 
  private:
-  /// Shared dispatch for every (re)train flavor: fork one RNG child per
-  /// expert in roster order (consuming the master stream identically on
-  /// every path), run `step(m, expert, child)` serially or pool-parallel,
-  /// then reinstate quarantined experts.
+  /// Shared dispatch for train_all/retrain_all: fork one RNG child per
+  /// expert in roster order (consuming the master stream identically whether
+  /// a step hits the cache or computes), run `step(m, expert, child)`
+  /// serially or pool-parallel, then reinstate quarantined experts.
   void run_forked(Rng& rng,
                   const std::function<void(std::size_t, DdaAlgorithm&, Rng&)>& step);
 

@@ -1,14 +1,11 @@
 #include "experts/dda_algorithm.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 #include "cache/artifact_cache.hpp"
 #include "ckpt/digest.hpp"
 #include "ckpt/io.hpp"
 #include "ckpt/state.hpp"
-#include "nn/serialize.hpp"
-
 #include "stats/distribution.hpp"
 
 namespace crowdlearn::experts {
@@ -55,7 +52,7 @@ void NeuralDdaAlgorithm::hash_neural_spec(ckpt::Hasher128& h) const {
 }
 
 void cached_expert_step(cache::ArtifactCache* cache, const char* schema_tag,
-                        DdaAlgorithm& expert, const ckpt::Digest128& data_digest,
+                        DdaAlgorithm& expert, const dataset::Dataset& data,
                         const std::vector<std::size_t>& image_ids,
                         const std::vector<std::size_t>& labels, Rng& child,
                         const std::function<void()>& compute) {
@@ -63,6 +60,7 @@ void cached_expert_step(cache::ArtifactCache* cache, const char* schema_tag,
     compute();
     return;
   }
+  const ckpt::Digest128 data_digest = data.content_digest();
   const std::string child_state = child.serialize();
   const std::string pre_state = expert.is_trained() ? expert.state_payload() : std::string();
   ckpt::Hasher128 h;
@@ -144,30 +142,25 @@ void NeuralDdaAlgorithm::set_thread_pool(util::ThreadPool* pool) {
   model_.set_thread_pool(pool_);
 }
 
-void NeuralDdaAlgorithm::save_model(std::ostream& os) const {
-  if (!trained_) throw std::logic_error("NeuralDdaAlgorithm::save_model before train");
-  nn::save_model(model_, os);
-}
-
-void NeuralDdaAlgorithm::load_model(std::istream& is) {
-  model_ = nn::load_model(is);
-  model_.set_thread_pool(pool_);
-  trained_ = true;
-  base_training_ids_.clear();
-  on_model_loaded();
-}
-
 namespace {
-constexpr char kNeuralTag[4] = {'N', 'D', 'A', '1'};
+constexpr char kNeuralTag[4] = {'N', 'D', 'A', '2'};
 }
 
 void NeuralDdaAlgorithm::save_state(ckpt::Writer& w) const {
   w.begin_section(kNeuralTag);
   w.str(name());
   w.u8(trained_ ? 1 : 0);
-  std::ostringstream blob;
-  if (trained_) nn::save_model(model_, blob);
-  w.str(blob.str());
+  // Only parameter values travel: the architecture is the spec's, rebuilt by
+  // build_model on load. params() merely hands out pointers; nothing here
+  // writes through them.
+  std::vector<nn::Param> params;
+  if (trained_) params = const_cast<nn::Sequential&>(model_).params();
+  w.u64(params.size());
+  for (const nn::Param& p : params) {
+    w.u64(p.value->rows());
+    w.u64(p.value->cols());
+    w.vec_f64(p.value->data());
+  }
   w.vec_sizes(base_training_ids_);
   w.u64(replay_per_new_label_);
 }
@@ -181,26 +174,44 @@ void NeuralDdaAlgorithm::load_state(ckpt::Reader& r) {
                               "' but this expert is '" + name() + "'");
   }
   const bool trained = r.u8() != 0;
-  const std::string blob = r.str();
+  // Rebuild the spec's network (a throwaway stream draws the initial weights,
+  // all of which are overwritten) and require every stored tensor to match
+  // its shape: a checkpoint made under other architecture sizes must fail
+  // loudly, not load a network that disagrees with the spec.
+  nn::Sequential model;
+  if (trained) {
+    Rng scratch(0);
+    model = build_model(scratch);
+  }
+  const std::vector<nn::Param> params = model.params();
+  const std::uint64_t count = r.u64();
+  if (count != params.size()) {
+    throw ckpt::CkptError(ckpt::CkptErrc::kMalformed,
+                          "expert '" + name() + "' checkpoint holds " + std::to_string(count) +
+                              " parameter tensors but its spec builds " +
+                              std::to_string(params.size()));
+  }
+  for (const nn::Param& p : params) {
+    const std::uint64_t rows = r.u64();
+    const std::uint64_t cols = r.u64();
+    std::vector<double> values = r.vec_f64();
+    if (rows != p.value->rows() || cols != p.value->cols() || values.size() != p.value->size()) {
+      throw ckpt::CkptError(ckpt::CkptErrc::kMalformed,
+                            "expert '" + name() + "' parameter " + p.name + " is stored as " +
+                                std::to_string(rows) + "x" + std::to_string(cols) +
+                                " but its spec builds " + std::to_string(p.value->rows()) + "x" +
+                                std::to_string(p.value->cols()));
+    }
+    p.value->data() = std::move(values);
+  }
   std::vector<std::size_t> base_ids = r.vec_sizes();
   const auto replay = static_cast<std::size_t>(r.u64());
 
-  nn::Sequential model;
-  if (trained) {
-    std::istringstream is(blob);
-    try {
-      model = nn::load_model(is);
-    } catch (const std::exception& e) {
-      throw ckpt::CkptError(ckpt::CkptErrc::kMalformed,
-                            "expert '" + name() + "' model blob: " + e.what());
-    }
-  }
   model_ = std::move(model);
   model_.set_thread_pool(pool_);
   trained_ = trained;
   base_training_ids_ = std::move(base_ids);
   replay_per_new_label_ = replay;
-  if (trained_) on_model_loaded();
 }
 
 void NeuralDdaAlgorithm::copy_neural_state(const NeuralDdaAlgorithm& src) {

@@ -5,7 +5,6 @@
 // experts only through this interface, mirroring the black-box assumption.
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +16,6 @@ namespace crowdlearn::ckpt {
 class Writer;
 class Reader;
 class Hasher128;
-struct Digest128;
 }
 
 namespace crowdlearn::cache {
@@ -63,10 +61,9 @@ class DdaAlgorithm {
   virtual void set_thread_pool(util::ThreadPool* /*pool*/) {}
 
   /// Checkpoint hooks (src/ckpt): persist / restore the expert's full
-  /// mutable state (trained parameters AND retrain bookkeeping — unlike the
-  /// neural save_model/load_model pair, which drops the golden replay set).
-  /// The base implementations throw std::logic_error; every expert the
-  /// system checkpoints must override both.
+  /// mutable state (trained parameters AND retrain bookkeeping). The base
+  /// implementations throw std::logic_error; every expert the system
+  /// checkpoints must override both.
   virtual void save_state(ckpt::Writer& w) const;
   virtual void load_state(ckpt::Reader& r);
 
@@ -113,26 +110,25 @@ class NeuralDdaAlgorithm : public DdaAlgorithm {
   nn::Sequential& model() { return model_; }
 
   /// Forward the pool to the owned Sequential. Re-applied whenever the
-  /// model is rebuilt (train / load_model / load_state), and intentionally
-  /// NOT copied by copy_neural_state — each clone wires its own pool.
+  /// model is rebuilt (train / load_state), and intentionally NOT copied by
+  /// copy_neural_state — each clone wires its own pool.
   void set_thread_pool(util::ThreadPool* pool) override;
 
-  /// Persist / restore the trained network (see nn/serialize.hpp). Loading
-  /// marks the expert trained; the golden replay set is not persisted, so a
-  /// loaded expert retrains on crowd labels alone unless train() ran first.
-  void save_model(std::ostream& os) const;
-  void load_model(std::istream& is);
-
-  /// Checkpoint hooks: the network plus the retrain bookkeeping
+  /// Checkpoint hooks (NDA2 section, docs/CHECKPOINTING.md): the raw values
+  /// of every Sequential::params() tensor plus the retrain bookkeeping
   /// (base_training_ids_, replay rate), so a restored expert replays golden
-  /// samples exactly like the saved one. load_state validates the stored
-  /// expert name against name() and throws ckpt::CkptError(kMalformed) on
-  /// mismatch (a reordered roster must fail loudly, not load the wrong net).
+  /// samples exactly like the saved one. The architecture is not stored:
+  /// load_state rebuilds it with build_model from this expert's spec and
+  /// throws ckpt::CkptError(kMalformed) if any stored shape disagrees, or if
+  /// the stored expert name differs from name() (a reordered roster must
+  /// fail loudly, not load the wrong net). Nothing changes unless the whole
+  /// section parses.
   void save_state(ckpt::Writer& w) const override;
   void load_state(ckpt::Reader& r) override;
 
  protected:
-  /// Build the (untrained) network. Called once at the start of train().
+  /// Build the (untrained) network from the spec. Called at the start of
+  /// train() and by load_state(), which overwrites the initial weights.
   virtual nn::Sequential build_model(Rng& rng) = 0;
   /// Encode one image into the model's input row.
   virtual std::vector<double> encode(const dataset::DisasterImage& image) const = 0;
@@ -162,10 +158,6 @@ class NeuralDdaAlgorithm : public DdaAlgorithm {
   /// the concrete experts' clone() implementations).
   void copy_neural_state(const NeuralDdaAlgorithm& src);
 
-  /// Hook invoked after load_model() replaces the network (e.g. DDM relocates
-  /// its Grad-CAM layer index).
-  virtual void on_model_loaded() {}
-
   nn::Sequential model_;
   util::ThreadPool* pool_ = nullptr;
   bool trained_ = false;
@@ -181,14 +173,15 @@ void hash_train_config(ckpt::Hasher128& h, const nn::TrainConfig& cfg);
 
 /// One expert's (re)train step through the artifact cache (docs/CACHING.md).
 /// `compute` must run the actual step on `expert` consuming `child`; the
-/// cache key covers (schema_tag, expert name + spec, dataset digest, image
-/// ids, labels, the child RNG's stream position, and — when the expert is
-/// already trained — its full pre-step checkpoint state). On a miss,
+/// cache key covers (schema_tag, expert name + spec, data.content_digest(),
+/// image ids, labels, the child RNG's stream position, and — when the expert
+/// is already trained — its full pre-step checkpoint state). On a miss,
 /// `compute` runs and the post-step state + post-step RNG stream are stored;
 /// on a hit both are restored, so a hit is bit-identical to recompute. With
-/// a null cache or an uncacheable expert this is exactly `compute()`.
+/// a null cache or an uncacheable expert this is exactly `compute()`, and
+/// the dataset is never hashed.
 void cached_expert_step(cache::ArtifactCache* cache, const char* schema_tag,
-                        DdaAlgorithm& expert, const ckpt::Digest128& data_digest,
+                        DdaAlgorithm& expert, const dataset::Dataset& data,
                         const std::vector<std::size_t>& image_ids,
                         const std::vector<std::size_t>& labels, Rng& child,
                         const std::function<void()>& compute);

@@ -38,20 +38,6 @@ nn::Sequential DdmClassifier::build_model(Rng& rng) {
   return m;
 }
 
-void DdmClassifier::on_model_loaded() {
-  // Grad-CAM attaches to the last convolutional layer; relocate it in the
-  // freshly loaded network.
-  bool found = false;
-  for (std::size_t i = 0; i < model_.num_layers(); ++i) {
-    if (dynamic_cast<nn::Conv2D*>(&model_.layer(i)) != nullptr) {
-      conv2_index_ = i;
-      found = true;
-    }
-  }
-  if (!found)
-    throw std::runtime_error("DdmClassifier: loaded model has no convolutional layer");
-}
-
 void DdmClassifier::hash_spec(ckpt::Hasher128& h) const {
   h.u64(cfg_.conv1_channels);
   h.u64(cfg_.conv2_channels);

@@ -53,7 +53,6 @@ class DdmClassifier : public NeuralDdaAlgorithm {
 
  protected:
   nn::Sequential build_model(Rng& rng) override;
-  void on_model_loaded() override;
   std::vector<double> encode(const dataset::DisasterImage& image) const override;
   std::vector<std::vector<double>> encode_augmented(
       const dataset::DisasterImage& image) const override;
@@ -61,7 +60,7 @@ class DdmClassifier : public NeuralDdaAlgorithm {
 
  private:
   DdmConfig cfg_;
-  std::size_t conv2_index_ = 0;  ///< layer index of the Grad-CAM conv layer
+  std::size_t conv2_index_ = 0;  ///< Grad-CAM conv layer index, set by build_model
 
   /// One-hot-ish severity prior from the activated heatmap area.
   std::vector<double> heatmap_prior(const dataset::DisasterImage& image);

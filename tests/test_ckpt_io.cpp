@@ -12,11 +12,14 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <thread>
 
 #include "ckpt/generations.hpp"
 #include "ckpt/io.hpp"
 #include "ckpt/state.hpp"
+#include "experts/bovw.hpp"
+#include "experts/ddm.hpp"
 #include "gbdt/gbdt.hpp"
 #include "gbdt/hist.hpp"
 #include "util/rng.hpp"
@@ -557,6 +560,74 @@ TEST(CkptForestSection, NonMonotoneBinBoundariesAreMalformed) {
   } catch (const CkptError& e) {
     EXPECT_EQ(e.code(), CkptErrc::kMalformed);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Neural expert (NDA2) section corruption battery
+// ---------------------------------------------------------------------------
+
+/// A trained expert for the battery: one epoch on a tiny corpus, because the
+/// checks need trained parameters, not good ones.
+template <typename Expert, typename Config>
+std::unique_ptr<Expert> trained_expert(Config cfg, std::uint64_t seed) {
+  dataset::DatasetConfig dcfg;
+  dcfg.total_images = 40;
+  dcfg.train_images = 30;
+  const dataset::Dataset data = dataset::generate_dataset(dcfg);
+  cfg.train.epochs = 1;
+  auto expert = std::make_unique<Expert>(cfg);
+  Rng rng(seed);
+  expert->train(data, data.train_indices, rng);
+  return expert;
+}
+
+/// Load every strict prefix of `payload` into `target`: each must fail as
+/// kMalformed and leave the target's state byte-identical. Past the first
+/// 64 bytes (tag, name, flag, tensor count, first shapes) the sweep steps by
+/// `stride` to keep the large CNN payloads cheap.
+void expect_truncations_malformed(experts::DdaAlgorithm& target, const std::string& payload,
+                                  std::size_t stride) {
+  const std::string before = target.state_payload();
+  for (std::size_t len = 0; len < payload.size(); len += len < 64 ? 1 : stride) {
+    try {
+      target.load_state_payload(payload.substr(0, len));
+      ADD_FAILURE() << "expected CkptError at truncation length " << len;
+    } catch (const CkptError& e) {
+      EXPECT_EQ(e.code(), CkptErrc::kMalformed) << "length " << len;
+    }
+  }
+  EXPECT_EQ(target.state_payload(), before);
+}
+
+TEST(CkptNeuralSection, TruncatedPayloadIsMalformedAndLeavesExpertUntouched) {
+  // Structural damage behind a valid CRC: the expert must reject it typed
+  // and keep serving its previous network bit-for-bit.
+  auto bovw_source = trained_expert<experts::BovwClassifier>(experts::BovwConfig{}, 1);
+  auto bovw_target = trained_expert<experts::BovwClassifier>(experts::BovwConfig{}, 2);
+  expect_truncations_malformed(*bovw_target, bovw_source->state_payload(), 1);
+
+  auto ddm_source = trained_expert<experts::DdmClassifier>(experts::DdmConfig{}, 3);
+  auto ddm_target = trained_expert<experts::DdmClassifier>(experts::DdmConfig{}, 4);
+  expect_truncations_malformed(*ddm_target, ddm_source->state_payload(), 97);
+}
+
+TEST(CkptNeuralSection, ArchitectureMismatchIsMalformedAndLeavesExpertUntouched) {
+  // The architecture comes from the spec: a checkpoint made under other
+  // layer sizes must not load, even though every tensor parses.
+  experts::DdmConfig wide;
+  wide.conv1_channels = 12;
+  experts::DdmConfig narrow;
+  narrow.conv1_channels = 8;
+  auto source = trained_expert<experts::DdmClassifier>(wide, 5);
+  auto target = trained_expert<experts::DdmClassifier>(narrow, 6);
+  const std::string before = target->state_payload();
+  try {
+    target->load_state_payload(source->state_payload());
+    FAIL() << "expected CkptError";
+  } catch (const CkptError& e) {
+    EXPECT_EQ(e.code(), CkptErrc::kMalformed);
+  }
+  EXPECT_EQ(target->state_payload(), before);
 }
 
 TEST(CkptGenerations, ConcurrentSiblingRingsNeverCrossContaminate) {

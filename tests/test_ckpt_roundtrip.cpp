@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -18,6 +19,8 @@
 #include "core/experiment.hpp"
 #include "core/recorder.hpp"
 #include "experts/bovw.hpp"
+#include "experts/ddm.hpp"
+#include "experts/vgg16_like.hpp"
 #include "gbdt/adaboost.hpp"
 #include "gbdt/gbdt.hpp"
 #include "gbdt/hist.hpp"
@@ -317,6 +320,90 @@ TEST(CkptModuleRoundTrip, MetricsRegistryRoundTrips) {
   reg.write_json(a);
   restored.write_json(b);
   EXPECT_EQ(a.str(), b.str());
+}
+
+// ---------------------------------------------------------------------------
+// Neural experts (NDA2 section)
+// ---------------------------------------------------------------------------
+
+dataset::Dataset neural_corpus() {
+  dataset::DatasetConfig cfg;
+  cfg.total_images = 60;
+  cfg.train_images = 45;
+  cfg.seed = 17;
+  return dataset::generate_dataset(cfg);
+}
+
+/// One untrained instance of each paper architecture (VGG16, BoVW, DDM) on
+/// short schedules: the round trips need trained parameters, not good ones.
+std::vector<std::unique_ptr<experts::DdaAlgorithm>> paper_architectures() {
+  experts::Vgg16Config vgg;
+  vgg.train.epochs = 2;
+  experts::BovwConfig bovw;
+  bovw.train.epochs = 4;
+  experts::DdmConfig ddm;
+  ddm.train.epochs = 2;
+  std::vector<std::unique_ptr<experts::DdaAlgorithm>> out;
+  out.push_back(std::make_unique<experts::Vgg16Like>(vgg));
+  out.push_back(std::make_unique<experts::BovwClassifier>(bovw));
+  out.push_back(std::make_unique<experts::DdmClassifier>(ddm));
+  return out;
+}
+
+void expect_bit_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]), std::bit_cast<std::uint64_t>(b[i])) << i;
+}
+
+TEST(CkptModuleRoundTrip, NeuralExpertPredictionsAreBitExact) {
+  const dataset::Dataset data = neural_corpus();
+  auto trained = paper_architectures();
+  auto restored = paper_architectures();
+  Rng rng(8);
+  for (std::size_t m = 0; m < trained.size(); ++m) {
+    SCOPED_TRACE(trained[m]->name());
+    trained[m]->train(data, data.train_indices, rng);
+    const std::string payload = trained[m]->state_payload();
+    restored[m]->load_state_payload(payload);
+    ASSERT_TRUE(restored[m]->is_trained());
+    for (std::size_t id : data.test_indices)
+      expect_bit_equal(trained[m]->predict_proba(data.image(id)),
+                       restored[m]->predict_proba(data.image(id)));
+    // Re-serialization is byte-identical: nothing was lost or reordered.
+    EXPECT_EQ(restored[m]->state_payload(), payload);
+
+    // The replay bookkeeping travels too: the same retrain on both copies
+    // ends in the same state.
+    const std::vector<std::size_t> ids(data.test_indices.begin(), data.test_indices.begin() + 4);
+    Rng a(21), b(21);
+    trained[m]->retrain(data, ids, data.labels(ids), a);
+    restored[m]->retrain(data, ids, data.labels(ids), b);
+    EXPECT_EQ(restored[m]->state_payload(), trained[m]->state_payload());
+  }
+  // Grad-CAM works on the restored DDM: its layer index comes from the spec.
+  auto& ddm = dynamic_cast<experts::DdmClassifier&>(*trained[2]);
+  auto& ddm_restored = dynamic_cast<experts::DdmClassifier&>(*restored[2]);
+  const auto& probe = data.image(data.test_indices[0]);
+  expect_bit_equal(ddm.damage_heatmap(probe, 2).data(),
+                   ddm_restored.damage_heatmap(probe, 2).data());
+}
+
+TEST(CkptModuleRoundTrip, UntrainedNeuralExpertRoundTrips) {
+  const dataset::Dataset data = neural_corpus();
+  auto untrained = paper_architectures();
+  auto target = paper_architectures();
+  Rng rng(9);
+  for (std::size_t m = 0; m < untrained.size(); ++m) {
+    SCOPED_TRACE(untrained[m]->name());
+    const std::string payload = untrained[m]->state_payload();
+    // Loading over a trained expert resets it to the untrained state.
+    target[m]->train(data, data.train_indices, rng);
+    target[m]->load_state_payload(payload);
+    EXPECT_FALSE(target[m]->is_trained());
+    EXPECT_THROW(target[m]->predict_proba(data.image(0)), std::logic_error);
+    EXPECT_EQ(target[m]->state_payload(), payload);
+  }
 }
 
 // ---------------------------------------------------------------------------
