@@ -16,6 +16,8 @@
 #include "crowd/platform.hpp"
 #include "experts/bovw.hpp"
 #include "experts/committee.hpp"
+#include "experts/ddm.hpp"
+#include "experts/vgg16_like.hpp"
 #include "gbdt/gbdt.hpp"
 #include "nn/conv.hpp"
 #include "nn/sequential.hpp"
@@ -460,6 +462,55 @@ void BM_CommitteeBatchInference(benchmark::State& state) {
                           static_cast<std::int64_t>(fixture.data.test_indices.size()));
 }
 BENCHMARK(BM_CommitteeBatchInference)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// Cold expert training: one fresh expert trained from scratch on the
+// quickstart golden split (300 images, 220 train, seed 42) per iteration —
+// the work train_all does before the first sensing cycle, and the bulk of
+// setup time. VGG16, DDM and BoVW run serially; DDM_pool4 is DDM with a
+// 4-thread pool attached, so DDM_pool4 / DDM is the pool-over-serial ratio
+// (it must stay <= 1: a pool may never make training slower). Real time,
+// since the pooled run spends CPU on several threads.
+struct ExpertTrainFixture {
+  dataset::Dataset data;
+  ExpertTrainFixture() {
+    dataset::DatasetConfig dcfg;
+    dcfg.total_images = 300;
+    dcfg.train_images = 220;
+    dcfg.seed = 42;
+    data = dataset::generate_dataset(dcfg);
+  }
+  static ExpertTrainFixture& instance() {
+    static ExpertTrainFixture fixture;
+    return fixture;
+  }
+};
+
+template <typename Expert>
+std::unique_ptr<experts::DdaAlgorithm> make_expert() {
+  return std::make_unique<Expert>();
+}
+
+void BM_ExpertTrain(benchmark::State& state, std::unique_ptr<experts::DdaAlgorithm> (*make)(),
+                    std::size_t threads) {
+  const ExpertTrainFixture& fx = ExpertTrainFixture::instance();
+  util::ThreadPool pool(threads);
+  for (auto _ : state) {
+    std::unique_ptr<experts::DdaAlgorithm> expert = make();
+    if (threads > 1) expert->set_thread_pool(&pool);
+    Rng rng(42);
+    expert->train(fx.data, fx.data.train_indices, rng);
+    benchmark::DoNotOptimize(expert->is_trained());
+  }
+}
+BENCHMARK_CAPTURE(BM_ExpertTrain, VGG16, &make_expert<experts::Vgg16Like>, std::size_t{1})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ExpertTrain, DDM, &make_expert<experts::DdmClassifier>, std::size_t{1})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ExpertTrain, DDM_pool4, &make_expert<experts::DdmClassifier>,
+                  std::size_t{4})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ExpertTrain, BoVW, &make_expert<experts::BovwClassifier>, std::size_t{1})
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Parallel-vs-serial GBDT training (CQC's model fit): feature-parallel split
 // search with ordered reduction. Arg = thread count, Arg(1) = serial.

@@ -14,7 +14,8 @@
 # resident-memory readout; docs/TENANCY.md), the clone-tenant dedup pair
 # (BM_ServiceCyclesDedup cache:0 vs cache:1) and the serving-throughput
 # sweep (BM_ServeThroughput at batch 1/64/1024 through the coalescer;
-# docs/SERVING.md) — then prints every optimized-over-reference speedup and
+# docs/SERVING.md) and cold expert training (BM_ExpertTrain: VGG16, DDM and
+# BoVW serial, DDM on a 4-thread pool) — then prints every optimized-over-reference speedup and
 # FAILS if the BM_Conv2DForward, BM_SequentialTrainStep, or
 # BM_CqcRetrainHist/100 speedup drops below the 3x regression gate,
 # BM_GemmTiled/512 below its 2x gate, or BM_CqcRetrainCachedWarm/10 below
@@ -29,8 +30,8 @@
 # compile mode, which says nothing about ours), and gating or snapshotting
 # Debug timings would poison the committed baseline.
 #
-# --quick is the CI smoke mode: the cheap conv benchmarks plus the service
-# scaling pair, a short min_time, no speedup gate (shared runners make
+# --quick is the CI smoke mode: the cheap conv benchmarks, the service
+# scaling pair and one run of each BM_ExpertTrain case, a short min_time, no speedup gate (shared runners make
 # timing ratios meaningless), any build type allowed, and a separate default
 # output file so the committed snapshot is not clobbered by throwaway
 # numbers.
@@ -52,7 +53,7 @@ while [ $# -gt 0 ]; do
       [ $# -ge 2 ] || { echo "bench_json.sh: --out needs a value" >&2; exit 2; }
       shift; OUT=$1 ;;
     -h|--help)
-      sed -n '2,37p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+      sed -n '2,39p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) echo "bench_json.sh: unknown argument '$1'" >&2; exit 2 ;;
   esac
   shift
@@ -97,11 +98,11 @@ fi
 
 if [ "$QUICK" -eq 1 ]; then
   [ -n "$OUT" ] || OUT=BENCH_micro.quick.json
-  FILTER='BM_Conv2DForward|BM_Conv2DForwardNaive|BM_ServiceCycles'
+  FILTER='BM_Conv2DForward|BM_Conv2DForwardNaive|BM_ServiceCycles|BM_ExpertTrain'
   MIN_TIME=--benchmark_min_time=0.02s
 else
   [ -n "$OUT" ] || OUT=BENCH_micro.json
-  FILTER='BM_Conv2D|BM_Gemm|BM_SequentialTrainStep|BM_CommitteeInference|BM_CqcRetrain|BM_ServiceCycles|BM_ServeThroughput'
+  FILTER='BM_Conv2D|BM_Gemm|BM_SequentialTrainStep|BM_CommitteeInference|BM_CqcRetrain|BM_ServiceCycles|BM_ServeThroughput|BM_ExpertTrain'
   MIN_TIME=--benchmark_min_time=0.10s
 fi
 

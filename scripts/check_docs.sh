@@ -129,6 +129,11 @@ grep -q "docs/TENANCY.md" README.md \
 if [ -f docs/PERFORMANCE.md ]; then
   grep -q "BM_ServiceCycles" docs/PERFORMANCE.md \
     || err "docs/PERFORMANCE.md does not mention BM_ServiceCycles (service scaling pair)"
+  # Cold expert training cases, which both bench_json.sh filters run.
+  for b in BM_ExpertTrain VGG16 DDM_pool4 BoVW; do
+    grep -q "$b" docs/PERFORMANCE.md \
+      || err "docs/PERFORMANCE.md does not mention $b (cold expert training benchmarks)"
+  done
 fi
 
 # --- 8. serving docs stay wired ----------------------------------------------

@@ -1,5 +1,6 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -65,8 +66,6 @@ Conv2D::Conv2D(const Conv2D& o)
       b_(o.b_),
       dw_(o.dw_),
       db_(o.db_),
-      cached_input_(o.cached_input_),
-      cached_output_(o.cached_output_),
       last_mode_(o.last_mode_) {}
 
 Conv2D::~Conv2D() = default;
@@ -110,10 +109,10 @@ void Conv2D::forward_into(const Matrix& input, Matrix& out, bool training) {
     have_fwd_state_ = false;
     out.reshape(input.rows(), out_shape_.size());
     kernels::naive_conv2d_forward(geometry(), w_, b_, input, out);
+    cached_output_ = out;  // Grad-CAM reads this even at inference
   } else {
     forward_im2col(input, out, training);
   }
-  cached_output_ = out;  // Grad-CAM reads this even at inference
 }
 
 void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
@@ -141,8 +140,12 @@ void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
     cols.matmul_rows_accumulate(wt, om, rb, re);
   });
   out.reshape(batch, out_shape_.size());
+  cached_output_.reshape(batch, out_shape_.size());  // Grad-CAM reads this even at inference
   run_chunks(pool, batch, /*min_grain=*/1, [&](std::size_t sb, std::size_t se) {
     kernels::scatter_channel_major(om, out, oc_n, hw, sb, se);
+    std::copy(out.data().begin() + static_cast<std::ptrdiff_t>(sb * out.cols()),
+              out.data().begin() + static_cast<std::ptrdiff_t>(se * out.cols()),
+              cached_output_.data().begin() + static_cast<std::ptrdiff_t>(sb * out.cols()));
   });
 
   // Training retains the im2col buffer (slot 0) — it is exactly the cached
@@ -153,21 +156,64 @@ void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
 }
 
 Matrix Conv2D::backward(const Matrix& grad_output) {
-  if (last_mode_ == ConvKernelMode::kNaiveReference) {
-    if (cached_input_.empty()) throw std::logic_error("Conv2D::backward before forward");
-    Matrix grad_input(cached_input_.rows(), in_shape_.size());
-    kernels::naive_conv2d_backward(geometry(), w_, cached_input_, grad_output, grad_input,
-                                   dw_, db_);
-    return grad_input;
-  }
-  return backward_im2col(grad_output);
+  Matrix grad_input;
+  backward_into(grad_output, grad_input);
+  return grad_input;
 }
 
-Matrix Conv2D::backward_im2col(const Matrix& grad_output) {
+void Conv2D::backward_into(const Matrix& grad_output, Matrix& grad_input) {
+  if (last_mode_ == ConvKernelMode::kNaiveReference) {
+    if (cached_input_.empty()) throw std::logic_error("Conv2D::backward before forward");
+    grad_input.reshape(cached_input_.rows(), in_shape_.size());  // zero-filled by the kernel
+    kernels::naive_conv2d_backward(geometry(), w_, cached_input_, grad_output, grad_input,
+                                   dw_, db_);
+    return;
+  }
+  backward_im2col(grad_output, grad_input);
+}
+
+void Conv2D::accumulate_param_grads(const Matrix& grad_output) {
+  if (last_mode_ == ConvKernelMode::kNaiveReference) {
+    backward(grad_output);
+    return;
+  }
+  param_grads_im2col(grad_output);
+}
+
+void Conv2D::param_grads_im2col(const Matrix& grad_output) {
   if (!have_fwd_state_)
     throw std::logic_error("Conv2D::backward before forward (training pass required)");
   if (grad_output.rows() != fwd_batch_ || grad_output.cols() != out_shape_.size())
     throw std::invalid_argument("Conv2D::backward: grad shape mismatch");
+  Workspace& ws = scratch();
+  const std::size_t batch = fwd_batch_;
+  const std::size_t hw = out_shape_.height * out_shape_.width;
+  const std::size_t ckk = w_.cols();
+  const Matrix& cols = ws.buffer(layer_id_, 0, batch * hw, ckk);  // retained from forward
+
+  // Weight gradient through the tiled GEMM: sample s's slice of grad_output
+  // is a row-major (out_c x H*W) matrix G_s and its rows of the im2col
+  // buffer are (H*W x C*k*k), so dW += G_s * Xcol_s for s ascending. Per
+  // dW element that is the naive (sample, position) ascending order, and the
+  // GEMM's `a == 0.0` skip is the naive `grad == 0.0` skip. The GEMM also
+  // adds grad * 0.0 for padding columns, which the naive loop never
+  // touches: that is bit-neutral only because dW never holds -0.0 on entry
+  // (Optimizer::step and Grad-CAM zero it with fill(0.0), and a
+  // round-to-nearest sum seeded with +0.0 never becomes -0.0). Output
+  // channels own disjoint dW rows and db slots, so chunking over them keeps
+  // every accumulator's term sequence.
+  run_chunks(ws.pool(), out_shape_.channels, /*min_grain=*/1,
+             [&](std::size_t ob, std::size_t oe) {
+               for (std::size_t s = 0; s < batch; ++s)
+                 Matrix::gemm_rows_accumulate(&grad_output.data()[s * grad_output.cols()],
+                                              &cols.data()[s * hw * ckk], dw_.data().data(),
+                                              ob, oe, hw, ckk);
+               kernels::conv2d_bias_grad(grad_output, hw, db_, ob, oe);
+             });
+}
+
+void Conv2D::backward_im2col(const Matrix& grad_output, Matrix& grad_input) {
+  param_grads_im2col(grad_output);
   Workspace& ws = scratch();
   util::ThreadPool* pool = ws.pool();
   const std::size_t batch = fwd_batch_;
@@ -177,16 +223,7 @@ Matrix Conv2D::backward_im2col(const Matrix& grad_output) {
   const std::size_t k2 = k_ * k_;
   const kernels::ConvGeometry g = geometry();
 
-  Matrix& cols = ws.buffer(layer_id_, 0, batch * hw, w_.cols());  // retained from forward
-
-  // Weight/bias gradient: output channels own disjoint dw rows / db slots,
-  // and within a channel the kernel visits samples-then-positions ascending
-  // (the naive order), so chunking over channels is bit-stable.
-  run_chunks(pool, oc_n, /*min_grain=*/1, [&](std::size_t ob, std::size_t oe) {
-    kernels::conv2d_weight_grad(g, cols, grad_output, dw_, db_, ob, oe);
-  });
-
-  Matrix grad_input(batch, in_shape_.size());
+  grad_input.reshape(batch, in_shape_.size());
 
   // Input gradient: both routes below produce byte-identical doubles — per
   // target element the terms arrive (oc, source y, source x) ascending with
@@ -201,9 +238,12 @@ Matrix Conv2D::backward_im2col(const Matrix& grad_output) {
   const bool sparse = nonzero * 4 < grad_output.data().size();  // < 25 % nonzero
   if (sparse) {
     run_chunks(pool, batch, /*min_grain=*/1, [&](std::size_t sb, std::size_t se) {
+      std::fill(grad_input.data().begin() + static_cast<std::ptrdiff_t>(sb * grad_input.cols()),
+                grad_input.data().begin() + static_cast<std::ptrdiff_t>(se * grad_input.cols()),
+                0.0);
       kernels::conv2d_grad_input_scatter(g, w_, grad_output, grad_input, sb, se);
     });
-    return grad_input;
+    return;
   }
 
   // Dense route — a transposed convolution: im2col the *gradient* over the
@@ -224,7 +264,6 @@ Matrix Conv2D::backward_im2col(const Matrix& grad_output) {
   run_chunks(pool, batch, /*min_grain=*/1, [&](std::size_t sb, std::size_t se) {
     kernels::scatter_channel_major(gim, grad_input, ic_n, hw, sb, se);
   });
-  return grad_input;
 }
 
 std::vector<Param> Conv2D::params() {
@@ -260,40 +299,69 @@ void MaxPool2D::forward_into(const Matrix& input, Matrix& out, bool /*training*/
   argmax_.resize(batch * out_size);  // capacity reused; every entry rewritten
   argmax_batch_ = batch;
 
-  for (std::size_t s = 0; s < batch; ++s) {
-    for (std::size_t c = 0; c < out_shape_.channels; ++c) {
-      for (std::size_t y = 0; y < out_shape_.height; ++y) {
-        for (std::size_t x = 0; x < out_shape_.width; ++x) {
-          double best = -std::numeric_limits<double>::infinity();
-          std::size_t best_flat = 0;
-          for (std::size_t dy = 0; dy < 2; ++dy) {
-            for (std::size_t dx = 0; dx < 2; ++dx) {
-              const std::size_t flat = in_shape_.flat(c, 2 * y + dy, 2 * x + dx);
-              const double v = input(s, flat);
-              if (v > best) {
-                best = v;
-                best_flat = flat;
+  const std::size_t in_w = in_shape_.width;
+  const std::size_t in_hw = in_shape_.height * in_w;
+  const std::size_t out_hw = out_shape_.height * out_shape_.width;
+  util::ThreadPool* pool = ws_ != nullptr ? ws_->pool() : nullptr;
+  run_chunks(pool, batch, elementwise_row_grain(input.cols()), [&](std::size_t sb, std::size_t se) {
+    for (std::size_t s = sb; s < se; ++s) {
+      const double* irow = &input.data()[s * input.cols()];
+      double* orow = &out.data()[s * out_size];
+      std::size_t* arow = &argmax_[s * out_size];
+      for (std::size_t c = 0; c < out_shape_.channels; ++c) {
+        for (std::size_t y = 0; y < out_shape_.height; ++y) {
+          for (std::size_t x = 0; x < out_shape_.width; ++x) {
+            // Window scan in (dy, dx) order with a strict `>`: ties keep
+            // the first position, exactly as the indexed loop did. Selects
+            // instead of branches: the winner is data-dependent.
+            double best = -std::numeric_limits<double>::infinity();
+            std::size_t best_flat = 0;
+            for (std::size_t dy = 0; dy < 2; ++dy) {
+              for (std::size_t dx = 0; dx < 2; ++dx) {
+                const std::size_t flat = c * in_hw + (2 * y + dy) * in_w + 2 * x + dx;
+                const double v = irow[flat];
+                const bool take = v > best;
+                best = take ? v : best;
+                best_flat = take ? flat : best_flat;
               }
             }
+            const std::size_t out_flat = c * out_hw + y * out_shape_.width + x;
+            orow[out_flat] = best;
+            arow[out_flat] = best_flat;
           }
-          const std::size_t out_flat = out_shape_.flat(c, y, x);
-          out(s, out_flat) = best;
-          argmax_[s * out_size + out_flat] = best_flat;
         }
       }
     }
-  }
+  });
 }
 
 Matrix MaxPool2D::backward(const Matrix& grad_output) {
+  Matrix grad_input;
+  backward_into(grad_output, grad_input);
+  return grad_input;
+}
+
+void MaxPool2D::backward_into(const Matrix& grad_output, Matrix& grad_input) {
   if (argmax_batch_ == 0) throw std::logic_error("MaxPool2D::backward before forward");
   const std::size_t batch = grad_output.rows();
   const std::size_t out_size = out_shape_.size();
-  Matrix grad_input(batch, in_shape_.size());
-  for (std::size_t s = 0; s < batch; ++s)
-    for (std::size_t o = 0; o < out_size; ++o)
-      grad_input(s, argmax_[s * out_size + o]) += grad_output(s, o);
-  return grad_input;
+  if (batch != argmax_batch_ || grad_output.cols() != out_size)
+    throw std::invalid_argument("MaxPool2D::backward: grad shape mismatch");
+  const std::size_t in_size = in_shape_.size();
+  grad_input.reshape(batch, in_size);
+  util::ThreadPool* pool = ws_ != nullptr ? ws_->pool() : nullptr;
+  run_chunks(pool, batch, elementwise_row_grain(in_size), [&](std::size_t sb, std::size_t se) {
+    for (std::size_t s = sb; s < se; ++s) {
+      const double* grow = &grad_output.data()[s * out_size];
+      const std::size_t* arow = &argmax_[s * out_size];
+      double* drow = &grad_input.data()[s * in_size];
+      std::fill(drow, drow + in_size, 0.0);
+      // `+=` onto the zeroed row, not a plain store: +0.0 + -0.0 is +0.0,
+      // so a -0.0 gradient lands as +0.0 just as the indexed accumulation
+      // did.
+      for (std::size_t o = 0; o < out_size; ++o) drow[arow[o]] += grow[o];
+    }
+  });
 }
 
 GlobalAvgPool::GlobalAvgPool(Shape3 input_shape) : in_shape_(input_shape) {

@@ -27,10 +27,11 @@ enum class ConvKernelMode { kIm2col, kNaiveReference };
 class Conv2D : public Layer {
  public:
   Conv2D(Shape3 input_shape, std::size_t out_channels, std::size_t kernel, Rng& rng);
-  /// Copies learned state and the Grad-CAM activation cache; the workspace
-  /// binding and retained backward scratch stay with the original
-  /// (Sequential::clone rebinds its copies; backward on a fresh copy
-  /// requires a fresh forward(training=true)).
+  /// Copies learned state; the activation caches (Grad-CAM's included), the
+  /// workspace binding and retained backward scratch stay with the original
+  /// (Sequential::clone rebinds its copies; a fresh copy needs its own
+  /// forward before last_activation, and forward(training=true) before
+  /// backward).
   Conv2D(const Conv2D& o);
   Conv2D& operator=(const Conv2D&) = delete;
   // Out-of-line so unique_ptr<Workspace> can be destroyed where Workspace
@@ -40,6 +41,9 @@ class Conv2D : public Layer {
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
   Matrix backward(const Matrix& grad_output) override;
+  void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
+  /// On the im2col path, stops after dW/db (no input-gradient GEMM).
+  void accumulate_param_grads(const Matrix& grad_output) override;
   void bind_workspace(Workspace* ws, std::size_t layer_id) override;
   std::vector<Param> params() override;
 
@@ -86,17 +90,23 @@ class Conv2D : public Layer {
   kernels::ConvGeometry geometry() const { return {in_shape_, out_shape_, k_, pad_}; }
   Workspace& scratch();
   void forward_im2col(const Matrix& input, Matrix& out, bool training);
-  Matrix backward_im2col(const Matrix& grad_output);
+  void param_grads_im2col(const Matrix& grad_output);
+  void backward_im2col(const Matrix& grad_output, Matrix& grad_input);
 };
 
 /// 2x2 max pooling with stride 2. Requires even spatial dimensions.
 class MaxPool2D : public Layer {
  public:
   explicit MaxPool2D(Shape3 input_shape);
+  /// The argmax cache and the workspace binding stay with the original
+  /// (Sequential::clone rebinds its copies).
+  MaxPool2D(const MaxPool2D& o) : in_shape_(o.in_shape_), out_shape_(o.out_shape_) {}
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
   Matrix backward(const Matrix& grad_output) override;
+  void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
+  void bind_workspace(Workspace* ws, std::size_t /*layer_id*/) override { ws_ = ws; }
 
   std::size_t input_size() const override { return in_shape_.size(); }
   std::size_t output_size() const override { return out_shape_.size(); }
@@ -112,6 +122,7 @@ class MaxPool2D : public Layer {
   // vector (batch * out size) so steady-state forwards never allocate.
   std::vector<std::size_t> argmax_;
   std::size_t argmax_batch_ = 0;
+  Workspace* ws_ = nullptr;  ///< not owned; only consulted for the pool
 };
 
 /// Global average pooling: each channel collapses to its spatial mean.

@@ -10,7 +10,11 @@
 //    order exactly, and Matrix::matmul's `a == 0.0` left-operand skip is
 //    the same skip set as the naive kernels' `v != 0.0` / `g == 0.0` /
 //    bounds checks — so both flavors accumulate identical term sequences
-//    and produce byte-identical doubles (tests/test_nn_kernels.cpp).
+//    and produce byte-identical doubles (tests/test_nn_kernels.cpp). One
+//    exception: the weight-gradient GEMM (dW += G_s * Xcol_s, see Conv2D)
+//    also adds grad * 0.0 at padding columns the naive loop skips. That is
+//    bit-neutral only while dW never holds -0.0 on entry, which the
+//    optimizers' fill(0.0) guarantees.
 //
 // All kernels assume stride 1, square odd kernels, and "same" zero padding
 // pad = (k-1)/2, i.e. identical input and output spatial dimensions. See
@@ -80,14 +84,13 @@ void fill_bias_rows(const Matrix& b, Matrix& om, std::size_t row_begin, std::siz
 void scatter_channel_major(const Matrix& panel, Matrix& dst, std::size_t channels,
                            std::size_t hw, std::size_t sample_begin, std::size_t sample_end);
 
-/// Weight/bias gradient for output channels [oc_begin, oc_end): for each
-/// nonzero grad g(s, oc, y, x) — samples then positions ascending, exactly
-/// the naive visit order per channel — add g to db(0, oc) and
-/// g * cols-window to the valid (in-bounds) columns of dw row oc. Channel
-/// ranges write disjoint dw rows / db entries, so this chunks across
-/// threads. `cols` is the retained im2col buffer from forward(training).
-void conv2d_weight_grad(const ConvGeometry& g, const Matrix& cols, const Matrix& grad_output,
-                        Matrix& dw, Matrix& db, std::size_t oc_begin, std::size_t oc_end);
+/// Bias gradient for output channels [oc_begin, oc_end): db(0, oc) +=
+/// every nonzero grad of channel oc, samples then positions ascending —
+/// the naive visit order and skip set. `hw` is the output H*W. Channel
+/// ranges write disjoint db entries, so this chunks across threads. (The
+/// weight gradient is a per-sample GEMM, see Conv2D.)
+void conv2d_bias_grad(const Matrix& grad_output, std::size_t hw, Matrix& db,
+                      std::size_t oc_begin, std::size_t oc_end);
 
 /// Input gradient via the naive scatter loop, restricted to grad_input (no
 /// dw/db): for each nonzero grad, scatter g * w over the in-bounds window.

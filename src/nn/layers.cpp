@@ -55,10 +55,18 @@ void Dense::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
 }
 
 Matrix Dense::backward(const Matrix& grad_output) {
+  Matrix grad_input;
+  backward_into(grad_output, grad_input);
+  return grad_input;
+}
+
+void Dense::backward_into(const Matrix& grad_output, Matrix& grad_input) {
   if (cached_input_.empty()) throw std::logic_error("Dense::backward before forward");
   dw_ += cached_input_.transpose().matmul(grad_output);
   db_ += grad_output.column_sums();
-  return grad_output.matmul(w_.transpose());
+  // matmul_rows_into zero-fills then accumulates: the bits of matmul().
+  grad_input.reshape(grad_output.rows(), in_);
+  grad_output.matmul_rows_into(w_.transpose(), grad_input, 0, grad_output.rows());
 }
 
 std::vector<Param> Dense::params() {
@@ -72,20 +80,41 @@ Matrix ReLU::forward(const Matrix& input, bool training) {
 }
 
 void ReLU::forward_into(const Matrix& input, Matrix& out, bool /*training*/) {
-  cached_input_ = input;
-  out.reshape(input.rows(), input.cols());
-  for (std::size_t i = 0; i < input.data().size(); ++i) {
-    const double v = input.data()[i];
-    out.data()[i] = v > 0.0 ? v : 0.0;
-  }
+  const std::size_t cols = input.cols();
+  cached_input_.reshape(input.rows(), cols);
+  out.reshape(input.rows(), cols);
+  run_row_chunks(ws_, input.rows(), elementwise_row_grain(cols),
+                 [&](std::size_t rb, std::size_t re) {
+                   const double* x = &input.data()[rb * cols];
+                   double* cache = &cached_input_.data()[rb * cols];
+                   double* y = &out.data()[rb * cols];
+                   for (std::size_t i = 0; i < (re - rb) * cols; ++i) {
+                     cache[i] = x[i];
+                     y[i] = x[i] > 0.0 ? x[i] : 0.0;
+                   }
+                 });
 }
 
 Matrix ReLU::backward(const Matrix& grad_output) {
+  Matrix grad_input;
+  backward_into(grad_output, grad_input);
+  return grad_input;
+}
+
+void ReLU::backward_into(const Matrix& grad_output, Matrix& grad_input) {
   if (cached_input_.empty()) throw std::logic_error("ReLU::backward before forward");
-  Matrix grad = grad_output;
-  for (std::size_t i = 0; i < grad.data().size(); ++i)
-    if (cached_input_.data()[i] <= 0.0) grad.data()[i] = 0.0;
-  return grad;
+  if (grad_output.size() != cached_input_.size())
+    throw std::invalid_argument("ReLU::backward: grad shape mismatch");
+  const std::size_t cols = grad_output.cols();
+  grad_input.reshape(grad_output.rows(), cols);
+  run_row_chunks(ws_, grad_output.rows(), elementwise_row_grain(cols),
+                 [&](std::size_t rb, std::size_t re) {
+                   const double* x = &cached_input_.data()[rb * cols];
+                   const double* g = &grad_output.data()[rb * cols];
+                   double* out = &grad_input.data()[rb * cols];
+                   for (std::size_t i = 0; i < (re - rb) * cols; ++i)
+                     out[i] = x[i] <= 0.0 ? 0.0 : g[i];
+                 });
 }
 
 Matrix Tanh::forward(const Matrix& input, bool training) {

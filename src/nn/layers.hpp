@@ -53,6 +53,22 @@ class Layer {
   /// return dL/d(input).
   virtual Matrix backward(const Matrix& grad_output) = 0;
 
+  /// Allocation-free backward: write dL/d(input) into `grad_input`,
+  /// reshaping it (capacity is reused across calls). `grad_input` must not
+  /// alias `grad_output`. The default wraps backward(); the hot layers
+  /// override it and implement backward() on top of it. Parameter gradients
+  /// and bit patterns are identical to backward() either way.
+  virtual void backward_into(const Matrix& grad_output, Matrix& grad_input) {
+    grad_input = backward(grad_output);
+  }
+
+  /// Accumulate the parameter gradients backward() would, without
+  /// producing dL/d(input). Sequential::fit calls this on its first layer,
+  /// whose input gradient nothing reads. The default runs backward() and
+  /// discards the result; layers that can stop early override it. The
+  /// accumulated gradients are bit-identical to backward()'s either way.
+  virtual void accumulate_param_grads(const Matrix& grad_output) { backward(grad_output); }
+
   /// Learnable parameters (empty for stateless layers).
   virtual std::vector<Param> params() { return {}; }
 
@@ -60,8 +76,11 @@ class Layer {
   virtual std::size_t output_size() const = 0;
   virtual std::string name() const = 0;
 
-  /// Deep copy, including learned parameters (gradients and activation
-  /// caches copy along but are irrelevant to the clone's future use).
+  /// Deep copy of the learned parameters (accumulated gradients copy
+  /// along). Activation caches do not: they are irrelevant to a clone's
+  /// future use, which starts with its own forward pass, and at training
+  /// batch sizes they outweigh the parameters (every per-chunk inference
+  /// replica would carry them).
   virtual std::unique_ptr<Layer> clone() const = 0;
 };
 
@@ -69,16 +88,17 @@ class Layer {
 class Dense : public Layer {
  public:
   Dense(std::size_t in, std::size_t out, Rng& rng);
-  /// Copies learned state; the workspace binding stays with the original
-  /// (Sequential::clone rebinds its copies to the clone's workspace).
+  /// Copies learned state; the activation cache and the workspace binding
+  /// stay with the original (Sequential::clone rebinds its copies to the
+  /// clone's workspace).
   Dense(const Dense& o)
-      : in_(o.in_), out_(o.out_), w_(o.w_), b_(o.b_), dw_(o.dw_), db_(o.db_),
-        cached_input_(o.cached_input_) {}
+      : in_(o.in_), out_(o.out_), w_(o.w_), b_(o.b_), dw_(o.dw_), db_(o.db_) {}
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
   void bind_workspace(Workspace* ws, std::size_t /*layer_id*/) override { ws_ = ws; }
   Matrix backward(const Matrix& grad_output) override;
+  void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
   std::vector<Param> params() override;
   std::size_t input_size() const override { return in_; }
   std::size_t output_size() const override { return out_; }
@@ -102,10 +122,15 @@ class Dense : public Layer {
 class ReLU : public Layer {
  public:
   explicit ReLU(std::size_t size) : size_(size) {}
+  /// The activation cache and the workspace binding stay with the original
+  /// (Sequential::clone rebinds its copies).
+  ReLU(const ReLU& o) : size_(o.size_) {}
 
   Matrix forward(const Matrix& input, bool training) override;
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
   Matrix backward(const Matrix& grad_output) override;
+  void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
+  void bind_workspace(Workspace* ws, std::size_t /*layer_id*/) override { ws_ = ws; }
   std::size_t input_size() const override { return size_; }
   std::size_t output_size() const override { return size_; }
   std::string name() const override { return "ReLU"; }
@@ -114,6 +139,7 @@ class ReLU : public Layer {
  private:
   std::size_t size_;
   Matrix cached_input_;
+  Workspace* ws_ = nullptr;  ///< not owned; only consulted for the pool
 };
 
 /// Hyperbolic tangent.

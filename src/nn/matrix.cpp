@@ -137,28 +137,35 @@ void Matrix::matmul_rows_accumulate(const Matrix& other, Matrix& out, std::size_
   // Degenerate shapes never dereference operand storage (an all-zero A row
   // could otherwise still form &other.data_[0] on an empty vector).
   if (row_begin == row_end || cols_ == 0 || other.cols_ == 0) return;
+  gemm_rows_accumulate(data_.data(), other.data_.data(), out.data_.data(), row_begin, row_end,
+                       cols_, other.cols_);
+}
+
+void Matrix::gemm_rows_accumulate(const double* a, const double* b, double* out,
+                                  std::size_t row_begin, std::size_t row_end, std::size_t k_dim,
+                                  std::size_t p) {
   // Both kernels share the per-element contract: out(i,j) accumulates its
   // products in ascending-k order, in place, with the `a == 0.0` left-operand
   // skip. That skip is load-bearing twice over: it is the perf win on sparse
   // (post-ReLU / zero-padded im2col) left operands, and the convolution
   // kernels rely on it matching the naive kernels' `v != 0.0` / `g == 0.0`
   // skips term-for-term. It silently drops 0*inf = NaN, hence the finite-
-  // input contract asserted above in debug builds.
-  if (other.cols_ == 1) {
+  // input contract asserted by matmul_rows_accumulate in debug builds.
+  if (p == 1) {
     // Single-column fast path (e.g. the transposed-conv GEMM of a 1-channel
     // input layer): each out(i,0) still accumulates ascending-k with the same
     // zero-skip, so the bit pattern is unchanged — a register accumulator just
     // removes the per-term store/reload that dominates when the j loop is
     // one iteration long.
     for (std::size_t i = row_begin; i < row_end; ++i) {
-      const double* arow = &data_[i * cols_];
-      double acc = out.data_[i];
-      for (std::size_t k = 0; k < cols_; ++k) {
-        const double a = arow[k];
-        if (a == 0.0) continue;
-        acc += a * other.data_[k];
+      const double* arow = &a[i * k_dim];
+      double acc = out[i];
+      for (std::size_t k = 0; k < k_dim; ++k) {
+        const double av = arow[k];
+        if (av == 0.0) continue;
+        acc += av * b[k];
       }
-      out.data_[i] = acc;
+      out[i] = acc;
     }
     return;
   }
@@ -167,12 +174,12 @@ void Matrix::matmul_rows_accumulate(const Matrix& other, Matrix& out, std::size_
     // output row it re-streams all of B — the L2 miss bill that motivates
     // the tiled kernel below.
     for (std::size_t i = row_begin; i < row_end; ++i) {
-      for (std::size_t k = 0; k < cols_; ++k) {
-        const double a = data_[i * cols_ + k];
-        if (a == 0.0) continue;
-        const double* brow = &other.data_[k * other.cols_];
-        double* orow = &out.data_[i * other.cols_];
-        for (std::size_t j = 0; j < other.cols_; ++j) orow[j] += a * brow[j];
+      for (std::size_t k = 0; k < k_dim; ++k) {
+        const double av = a[i * k_dim + k];
+        if (av == 0.0) continue;
+        const double* brow = &b[k * p];
+        double* orow = &out[i * p];
+        for (std::size_t j = 0; j < p; ++j) orow[j] += av * brow[j];
       }
     }
     return;
@@ -181,8 +188,7 @@ void Matrix::matmul_rows_accumulate(const Matrix& other, Matrix& out, std::size_
   // register blocking, order-preserving by construction — every out(i,j)
   // receives the same ascending-k add sequence as the reference loop above,
   // so the bits are identical (tests/test_gemm_tiled.cpp).
-  g_tiled_rows(data_.data(), other.data_.data(), out.data_.data(), row_begin, row_end, cols_,
-               other.cols_);
+  g_tiled_rows(a, b, out, row_begin, row_end, k_dim, p);
 }
 
 void Matrix::debug_check_finite(const char* what) const {

@@ -68,6 +68,16 @@ class Matrix {
   void matmul_rows_accumulate(const Matrix& other, Matrix& out, std::size_t row_begin,
                               std::size_t row_end) const;
 
+  /// Raw-pointer form of matmul_rows_accumulate, for operands that are
+  /// slices of larger buffers (one sample's block of a batch): rows
+  /// [row_begin, row_end) of out (m x p) += a (m x k_dim) * b (k_dim x p),
+  /// all row-major and contiguous. Same kernel selection (gemm_kernel(), the
+  /// p == 1 path) and the same per-element contract: ascending k, `a == 0.0`
+  /// skip. The caller guarantees the extents; nothing is checked here.
+  static void gemm_rows_accumulate(const double* a, const double* b, double* out,
+                                   std::size_t row_begin, std::size_t row_end,
+                                   std::size_t k_dim, std::size_t p);
+
   /// Process-wide GEMM kernel selector for tests and benchmarks — mirrors
   /// Conv2D::set_kernel_mode. Not for use while matmuls are in flight on
   /// other threads.

@@ -122,8 +122,17 @@ std::vector<EpochStats> Sequential::fit_impl(const Matrix& x, std::size_t n,
         ++seen;
       }
 
-      Matrix grad = loss.grad_logits;
-      for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) grad = (*it)->backward(grad);
+      // The activation buffers are dead once the loss is computed (layers
+      // keep their own backward state), so the gradients ping-pong through
+      // them. Nothing reads the first layer's input gradient, so it only
+      // accumulates its parameter gradients.
+      const Matrix* grad = &loss.grad_logits;
+      for (std::size_t i = layers_.size(); i-- > 1;) {
+        Matrix& grad_input = ws_->activation(i % 2);
+        layers_[i]->backward_into(*grad, grad_input);
+        grad = &grad_input;
+      }
+      layers_.front()->accumulate_param_grads(*grad);
       opt->step();
     }
     history.push_back({loss_sum / static_cast<double>(batches),

@@ -58,8 +58,9 @@ class Sequential {
 
   /// Allocation-free forward: chains forward_into through the workspace's
   /// ping-pong activation buffers and returns a reference to the final one.
-  /// The reference is valid until the next forward_ws/forward call on this
-  /// model. Bit-identical to forward().
+  /// The reference is valid until the next forward_ws/forward/fit call on
+  /// this model (fit also routes its gradients through these buffers).
+  /// Bit-identical to forward().
   const Matrix& forward_ws(const Matrix& input, bool training);
 
   /// Attach a thread pool (nullptr = serial) that the layer kernels chunk

@@ -14,6 +14,7 @@
 // forward/backward call except where a layer explicitly retains a slot
 // (Conv2D keeps its im2col buffer from forward(training=true) for backward).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -28,6 +29,14 @@ class ThreadPool;
 
 namespace crowdlearn::nn {
 
+/// Fewest rows per parallel chunk of an elementwise pass over rows of
+/// `cols` doubles: about 16K elements, below which handing a chunk to
+/// another thread costs more than the pass itself. A pure function of the
+/// shape, so chunk boundaries stay independent of timing.
+inline std::size_t elementwise_row_grain(std::size_t cols) {
+  return std::max<std::size_t>(1, (std::size_t{1} << 14) / std::max<std::size_t>(1, cols));
+}
+
 class Workspace {
  public:
   /// Scratch matrix for (layer_id, slot), reshaped to rows x cols. The
@@ -36,8 +45,9 @@ class Workspace {
   /// registry growth never moves them).
   Matrix& buffer(std::size_t layer_id, std::size_t slot, std::size_t rows, std::size_t cols);
 
-  /// Ping-pong activation buffers for Sequential::forward_ws (slot 0/1).
-  /// Shaped by the layer writing into them, not here.
+  /// Ping-pong activation buffers for Sequential::forward_ws (slot 0/1),
+  /// reused by Sequential::fit for the backward pass's gradients. Shaped by
+  /// the layer writing into them, not here.
   Matrix& activation(std::size_t slot);
 
   /// Pool the kernels chunk batch loops over; nullptr = serial. Not owned.

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <cstdlib>
+#include <memory>
+#include <stdexcept>
 
 namespace crowdlearn::util {
 
@@ -57,6 +59,66 @@ void ThreadPool::worker_loop() {
     }
     task();  // instrumented wrapper; packaged_task captures any exception
   }
+}
+
+std::size_t ThreadPool::drain_section(Section& s) {
+  std::size_t ran = 0;
+  for (std::size_t c = s.next.fetch_add(1); c < s.chunks; c = s.next.fetch_add(1)) {
+    try {
+      s.run(s.ctx, c);
+    } catch (...) {
+      s.errors[c] = std::current_exception();
+    }
+    ++ran;
+  }
+  return ran;
+}
+
+void ThreadPool::run_section(std::size_t chunks, void (*run)(void*, std::size_t), void* ctx) {
+  auto section = std::make_shared<Section>(chunks, run, ctx);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (shutdown_) throw std::runtime_error("ThreadPool: parallel section after shutdown");
+    for (std::size_t r = 1; r < chunks; ++r) {
+      queue_.push([this, section] {
+        auto runner = [&s = *section] {
+          const std::size_t ran = drain_section(s);
+          if (ran == 0) return;  // woke after every chunk was claimed
+          std::lock_guard<std::mutex> section_lock(s.mutex);
+          s.done += ran;
+          if (s.done == s.chunks) s.cv.notify_one();
+        };
+        run_instrumented(runner);
+      });
+    }
+    update_queue_depth_locked();
+  }
+  if (chunks - 1 >= threads_) {
+    cv_.notify_all();
+  } else {
+    for (std::size_t r = 1; r < chunks; ++r) cv_.notify_one();
+  }
+
+  Section& s = *section;
+  const std::size_t ran = drain_section(s);
+  {
+    // Every chunk is claimed by now; wait for the ones runners still hold.
+    std::unique_lock<std::mutex> lock(s.mutex);
+    s.done += ran;
+    s.cv.wait(lock, [&s] { return s.done == s.chunks; });
+  }
+  std::exception_ptr first;
+  for (const std::exception_ptr& e : s.errors) {
+    if (e) {
+      first = e;
+      break;
+    }
+  }
+  // Release every chunk's exception here: a late runner may hold the last
+  // reference to the section and destroy it on its own thread, which must
+  // not be where an exception object thrown to this caller dies.
+  s.errors.clear();
+  if (first) std::rethrow_exception(first);
 }
 
 void ThreadPool::set_observability(obs::Observability* o) {

@@ -39,10 +39,17 @@ std::size_t resolve_thread_count(std::size_t requested = 0);
 ///
 /// A pool constructed with one thread spawns no workers at all: submit() runs
 /// the task inline on the caller, so serial runs pay zero synchronization
-/// cost and single-threaded determinism is trivial. Calls into the pool from
-/// one of its own workers also run inline, which makes accidental nesting
-/// (a parallel section reached from inside a task) safe instead of a
-/// deadlock.
+/// cost and single-threaded determinism is trivial.
+///
+/// Nesting. submit() from one of this pool's own workers runs the task
+/// inline. A parallel section (parallel_chunks*, parallel_for) instead takes
+/// its caller as one of its runners, worker or not: the caller and queued
+/// runner tasks claim chunk indices from a shared counter, and the caller
+/// returns once every chunk has finished. The caller never runs a foreign
+/// queued task, so a section reached from inside a task cannot deadlock on a
+/// fully busy pool (it completes on the caller alone) and never re-enters
+/// other queued work such as a service lane; idle workers, when there are
+/// any, help with its chunks.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t num_threads = 0);
@@ -92,7 +99,8 @@ class ThreadPool {
 
   /// Run fn(begin, end) over static contiguous chunks of [0, n), at most one
   /// chunk per worker. Waits for every chunk, then rethrows the first failure
-  /// in chunk order. Chunk boundaries depend only on n and size().
+  /// in chunk order. Chunk boundaries depend only on n and size(); which
+  /// thread runs a chunk depends on timing (see the nesting note above).
   template <typename ChunkFn>
   void parallel_chunks(std::size_t n, ChunkFn&& fn) {
     parallel_chunks_grained(n, 1, std::forward<ChunkFn>(fn));
@@ -108,21 +116,19 @@ class ThreadPool {
     if (n == 0) return;
     if (min_grain == 0) min_grain = 1;
     const std::size_t chunks = std::min({size(), n, std::max<std::size_t>(1, n / min_grain)});
-    if (chunks <= 1 || current_pool() == this) {
+    if (chunks <= 1) {
       fn(std::size_t{0}, n);
       return;
     }
-    std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
     const std::size_t base = n / chunks;
     const std::size_t extra = n % chunks;
-    std::size_t begin = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t end = begin + base + (c < extra ? 1 : 0);
-      futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-      begin = end;
-    }
-    wait_all(futures);
+    auto run_chunk = [&fn, base, extra](std::size_t c) {
+      const std::size_t begin = c * base + std::min(c, extra);
+      fn(begin, begin + base + (c < extra ? 1 : 0));
+    };
+    run_section(chunks, [](void* ctx, std::size_t c) {
+      (*static_cast<decltype(run_chunk)*>(ctx))(c);
+    }, &run_chunk);
   }
 
   /// Run body(i) for every i in [0, n), chunked as in parallel_chunks.
@@ -151,6 +157,33 @@ class ThreadPool {
   /// The pool whose worker is executing the current thread, if any.
   static ThreadPool*& current_pool();
   void worker_loop();
+
+  /// One parallel section's shared state. Runner tasks hold it by shared_ptr
+  /// because a runner may wake after its section has returned; such a runner
+  /// finds every chunk claimed and exits without touching `run`, which points
+  /// into the (by then gone) caller's frame. A runner that claims a chunk
+  /// keeps the caller waiting until that chunk finishes, so `run` is alive
+  /// for every call made through it.
+  struct Section {
+    Section(std::size_t n, void (*r)(void*, std::size_t), void* c)
+        : chunks(n), run(r), ctx(c), errors(n) {}
+    const std::size_t chunks;
+    void (*const run)(void*, std::size_t);
+    void* const ctx;
+    std::vector<std::exception_ptr> errors;  ///< one slot per chunk
+    std::atomic<std::size_t> next{0};        ///< next unclaimed chunk
+    std::mutex mutex;
+    std::size_t done = 0;  ///< finished chunks; guarded by mutex
+    std::condition_variable cv;  ///< signalled when done reaches chunks
+  };
+
+  /// Claim and run chunks of `s` until none is left; returns how many this
+  /// thread ran. Failures land in the chunk's error slot.
+  static std::size_t drain_section(Section& s);
+
+  /// Queue chunks - 1 runners, run chunks on the caller too, wait for every
+  /// chunk, then rethrow the first failure in chunk order.
+  void run_section(std::size_t chunks, void (*run)(void*, std::size_t), void* ctx);
 
   /// Execute one task, recording count + latency when handles are wired.
   /// The metric path reads only the steady clock — no RNG, no feedback into

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <limits>
 #include <new>
+#include <string>
 
 #include "nn/conv.hpp"
 #include "nn/sequential.hpp"
@@ -187,6 +188,136 @@ TEST(NnKernels, RepeatedTrainStepsStayBitwiseEquivalent) {
     for (std::size_t p = 0; p < pr.size(); ++p)
       expect_bitwise_eq(*pr[p].grad, *pi[p].grad, pr[p].name.c_str());
   }
+}
+
+// --- Weight gradient through the tiled GEMM --------------------------------
+
+/// Upstream gradient as it reaches a conv layer in training: dense values
+/// masked to zero wherever a (random) ReLU pre-activation was not positive,
+/// so about half the entries hit the `g == 0.0` / `a == 0.0` skips.
+Matrix post_relu_gradient(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix g = random_matrix(rows, cols, rng);
+  for (double& v : g.data())
+    if (rng.uniform(-1.0, 1.0) <= 0.0) v = 0.0;
+  return g;
+}
+
+TEST(NnKernels, GemmWeightGradMatchesNaiveAtProductionShapes) {
+  // The expert convolutions: VGG16 1->8 at 16x16 and 8->16 at 8x8, DDM
+  // 1->12 at 16x16 and 12->24 at 8x8. dW/db from backward() and from
+  // accumulate_param_grads() must both equal the naive kernel's bits.
+  KernelModeGuard guard;
+  const ConvCase shapes[] = {
+      {{1, 16, 16}, 12, 3},
+      {{1, 16, 16}, 8, 3},
+      {{12, 8, 8}, 24, 3},
+      {{8, 8, 8}, 16, 3},
+  };
+  for (const ConvCase& cs : shapes) {
+    for (std::size_t batch : {std::size_t{1}, std::size_t{32}}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                  std::size_t{8}}) {
+        const std::string ctx = "in_c=" + std::to_string(cs.in.channels) +
+                                " out_c=" + std::to_string(cs.out_channels) +
+                                " batch=" + std::to_string(batch) +
+                                " threads=" + std::to_string(threads);
+        Rng rng(300 + batch + threads + cs.out_channels);
+        Conv2D naive(cs.in, cs.out_channels, cs.kernel, rng);
+        Conv2D full(naive);
+        Conv2D params_only(naive);
+        // Layer inputs past the first conv are post-ReLU/MaxPool: sparse.
+        const Matrix x = cs.in.channels == 1 ? random_matrix(batch, cs.in.size(), rng)
+                                             : sparse_matrix(batch, cs.in.size(), rng);
+        const Matrix g = post_relu_gradient(batch, naive.output_size(), rng);
+
+        Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
+        naive.forward(x, true);
+        zero_grads(naive);
+        naive.backward(g);
+
+        util::ThreadPool pool(threads);
+        Workspace ws_full, ws_params;
+        ws_full.set_pool(&pool);
+        ws_params.set_pool(&pool);
+        full.bind_workspace(&ws_full, 0);
+        params_only.bind_workspace(&ws_params, 0);
+        Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+        full.forward(x, true);
+        zero_grads(full);
+        full.backward(g);
+        params_only.forward(x, true);
+        zero_grads(params_only);
+        params_only.accumulate_param_grads(g);
+
+        const std::vector<Param> pr = naive.params();
+        const std::vector<Param> pf = full.params();
+        const std::vector<Param> pp = params_only.params();
+        for (std::size_t p = 0; p < pr.size(); ++p) {
+          expect_bitwise_eq(*pr[p].grad, *pf[p].grad, (ctx + " backward " + pr[p].name).c_str());
+          expect_bitwise_eq(*pr[p].grad, *pp[p].grad,
+                            (ctx + " accumulate_param_grads " + pr[p].name).c_str());
+        }
+      }
+    }
+  }
+}
+
+TEST(NnKernels, GemmWeightGradRequiresPositiveZeroSeededDw) {
+  // The GEMM adds grad * 0.0 for padding columns the naive loop never
+  // touches. One sample whose only nonzero gradient sits at the (0, 0)
+  // corner: there every window column with ky == 0 or kx == 0 is padding.
+  KernelModeGuard guard;
+  Rng rng(43);
+  Conv2D naive({1, 4, 4}, 1, 3, rng);
+  Conv2D im2col(naive);
+  Matrix x(1, 16);
+  for (double& v : x.data()) v = rng.uniform(0.5, 1.0);
+  Matrix g(1, 16, 0.0);
+  g(0, 0) = 0.75;
+  const std::size_t padding_col = 0;  // (ky, kx) = (0, 0)
+
+  auto run = [&](double seed) {
+    Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
+    naive.forward(x, true);
+    for (Param p : naive.params()) p.grad->fill(seed);
+    naive.backward(g);
+    Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+    im2col.forward(x, true);
+    for (Param p : im2col.params()) p.grad->fill(seed);
+    im2col.backward(g);
+  };
+
+  // The precondition holds: +0.0-seeded dW matches bit for bit, and the
+  // padding column stays +0.0 (adding +0.0 to +0.0 is +0.0).
+  run(0.0);
+  expect_bitwise_eq(*naive.params()[0].grad, *im2col.params()[0].grad, "dW seeded +0.0");
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(im2col.params()[0].grad->data()[padding_col]),
+            std::bit_cast<std::uint64_t>(0.0));
+
+  // Why it is a precondition: a -0.0 seed survives the naive loop at the
+  // padding column but becomes +0.0 through the GEMM's 0.75 * 0.0 term.
+  run(-0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(naive.params()[0].grad->data()[padding_col]),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(im2col.params()[0].grad->data()[padding_col]),
+            std::bit_cast<std::uint64_t>(0.0));
+
+  // Where the precondition comes from: the optimizers zero every gradient
+  // with +0.0, so the next step's dW is +0.0-seeded again.
+  for (Param p : im2col.params()) p.grad->fill(-0.0);
+  Sgd sgd(0.1);
+  sgd.attach(im2col.params());
+  sgd.step();
+  for (Param p : im2col.params())
+    for (double v : p.grad->data())
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(v), std::bit_cast<std::uint64_t>(0.0)) << p.name;
+  for (Param p : im2col.params()) p.grad->fill(-0.0);
+  Adam adam(0.1);
+  adam.attach(im2col.params());
+  adam.step();
+  for (Param p : im2col.params())
+    for (double v : p.grad->data())
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(v), std::bit_cast<std::uint64_t>(0.0)) << p.name;
 }
 
 // --- Zero-skip semantics ---------------------------------------------------
@@ -373,6 +504,100 @@ TEST(NnKernels, CnnTrainingIsThreadCountInvariant) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(t1[i]), std::bit_cast<std::uint64_t>(t8[i]))
         << "1 vs 8 threads at " << i;
   }
+}
+
+// --- First-layer input-gradient skip ---------------------------------------
+
+/// The DDM expert's stack at its production shapes, where the ReLU/MaxPool
+/// passes are wide enough to run in parallel chunks at batch 32.
+Sequential make_ddm_shaped_cnn(Rng& rng) {
+  Sequential model;
+  model.add(std::make_unique<Conv2D>(Shape3{1, 16, 16}, 12, 3, rng));
+  model.add(std::make_unique<ReLU>(Shape3{12, 16, 16}.size()));
+  model.add(std::make_unique<MaxPool2D>(Shape3{12, 16, 16}));
+  model.add(std::make_unique<Conv2D>(Shape3{12, 8, 8}, 24, 3, rng));
+  model.add(std::make_unique<ReLU>(Shape3{24, 8, 8}.size()));
+  model.add(std::make_unique<MaxPool2D>(Shape3{24, 8, 8}));
+  model.add(std::make_unique<Dense>(Shape3{24, 4, 4}.size(), 48, rng));
+  model.add(std::make_unique<ReLU>(48));
+  model.add(std::make_unique<Dense>(48, 3, rng));
+  return model;
+}
+
+TEST(NnKernels, FitSkippingFirstLayerInputGradientMatchesFullBackward) {
+  // Sequential::fit stops the backward pass at the first layer's parameter
+  // gradients (and routes gradients through its workspace). One fit step
+  // must leave the parameters bit-equal to a local loop that runs the full
+  // backward() through every layer, at any thread count.
+  KernelModeGuard guard;
+  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+  std::vector<double> serial_params;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Rng rng(47);
+    Sequential fitted = make_ddm_shaped_cnn(rng);
+    Sequential reference = fitted.clone();
+    util::ThreadPool pool(threads);
+    fitted.set_thread_pool(&pool);
+    reference.set_thread_pool(&pool);
+    Rng data_rng(53);
+    const Matrix x = random_matrix(32, fitted.input_size(), data_rng);
+    std::vector<std::size_t> y(x.rows());
+    for (std::size_t i = 0; i < y.size(); ++i) y[i] = i % 3;
+
+    TrainConfig cfg;
+    cfg.epochs = 1;
+    cfg.batch_size = x.rows();
+    cfg.shuffle = false;
+    Rng fit_rng(59);
+    fitted.fit(x, y, cfg, fit_rng);
+
+    Sgd sgd(cfg.learning_rate, cfg.momentum, cfg.weight_decay);
+    sgd.attach(reference.params());
+    const LossResult loss = softmax_cross_entropy(reference.forward_ws(x, true), y);
+    Matrix grad = loss.grad_logits;
+    for (std::size_t i = reference.num_layers(); i-- > 0;) grad = reference.layer(i).backward(grad);
+    sgd.step();
+
+    const std::vector<Param> pf = fitted.params();
+    const std::vector<Param> pr = reference.params();
+    ASSERT_EQ(pf.size(), pr.size());
+    std::vector<double> flat;
+    for (std::size_t p = 0; p < pf.size(); ++p) {
+      expect_bitwise_eq(*pf[p].value, *pr[p].value,
+                        ("threads=" + std::to_string(threads) + " " + pf[p].name).c_str());
+      flat.insert(flat.end(), pf[p].value->data().begin(), pf[p].value->data().end());
+    }
+    if (threads == 1) {
+      serial_params = flat;
+      continue;
+    }
+    ASSERT_EQ(flat.size(), serial_params.size());
+    for (std::size_t i = 0; i < flat.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(flat[i]),
+                std::bit_cast<std::uint64_t>(serial_params[i]))
+          << "1 vs " << threads << " threads at " << i;
+  }
+}
+
+TEST(NnKernels, CloneCopiesParametersButNoActivationCaches) {
+  // Per-chunk inference replicas (ExpertCommittee::expert_votes_batch) are
+  // clones of trained models; at training batch sizes the activation caches
+  // outweigh the parameters, so a clone leaves them behind.
+  KernelModeGuard guard;
+  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+  Rng rng(61);
+  Sequential model = make_ddm_shaped_cnn(rng);
+  const Matrix x = random_matrix(32, model.input_size(), rng);
+  model.forward_ws(x, /*training=*/true);
+  Sequential copy = model.clone();
+  const Matrix g(32, copy.layer(0).output_size(), 1.0);
+  EXPECT_THROW(dynamic_cast<Conv2D&>(copy.layer(0)).last_activation(0), std::logic_error);
+  EXPECT_THROW(copy.layer(0).backward(g), std::logic_error);
+  EXPECT_THROW(copy.layer(1).backward(g), std::logic_error);
+  EXPECT_THROW(copy.layer(2).backward(Matrix(32, copy.layer(2).output_size())), std::logic_error);
+  EXPECT_THROW(copy.layer(6).backward(Matrix(32, copy.layer(6).output_size())), std::logic_error);
+  const Matrix probe = random_matrix(3, model.input_size(), rng);
+  expect_bitwise_eq(model.forward(probe, false), copy.forward(probe, false), "clone forward");
 }
 
 }  // namespace

@@ -2,9 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -123,11 +129,148 @@ TEST(ThreadPool, NestedParallelismRunsInlineInsteadOfDeadlocking) {
   ThreadPool pool(2);
   std::atomic<int> inner_calls{0};
   pool.parallel_for(4, [&](std::size_t) {
-    // A parallel section reached from inside a task must not re-enqueue onto
-    // the same (possibly fully busy) pool.
+    // A parallel section reached from inside a task must complete even when
+    // every other worker is busy: its caller claims chunks itself and never
+    // waits on a chunk nobody has claimed.
     pool.parallel_for(8, [&](std::size_t) { inner_calls.fetch_add(1); });
   });
   EXPECT_EQ(inner_calls.load(), 32);
+}
+
+/// Counts arrivals and lets waiters block until a target count is reached,
+/// with a generous timeout so a broken pool fails a test instead of hanging
+/// it. One arrival with waiters on a count of 1 is a gate.
+class Arrivals {
+ public:
+  void arrive() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++count_;
+    cv_.notify_all();
+  }
+  bool wait_for_count(int n, std::chrono::seconds timeout = std::chrono::seconds(30)) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [&] { return count_ >= n; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int count_ = 0;
+};
+
+TEST(ThreadPool, NestedSectionOnIdlePoolRunsOnSeveralThreads) {
+  // A section reached from inside a task on an otherwise idle pool is helped
+  // by the idle workers. Each chunk waits (with a timeout) until a second
+  // chunk has started, which can only happen on a second thread.
+  ThreadPool pool(4);
+  Arrivals started;
+  std::mutex ids_mutex;
+  std::set<std::thread::id> ids;
+  std::atomic<bool> all_met{true};
+  auto fut = pool.submit([&] {
+    pool.parallel_chunks(4, [&](std::size_t, std::size_t) {
+      {
+        std::lock_guard<std::mutex> lock(ids_mutex);
+        ids.insert(std::this_thread::get_id());
+      }
+      started.arrive();
+      if (!started.wait_for_count(2)) all_met = false;
+    });
+  });
+  fut.get();
+  EXPECT_TRUE(all_met.load()) << "no second thread ever joined the nested section";
+  EXPECT_GE(ids.size(), 2u);
+}
+
+TEST(ThreadPool, NestedSectionCompletesWhileOtherWorkersAreBlocked) {
+  ThreadPool pool(4);
+  Arrivals gate;
+  Arrivals blocked;
+  std::vector<std::future<bool>> blockers;
+  for (int i = 0; i < 3; ++i) {
+    blockers.push_back(pool.submit([&] {
+      blocked.arrive();
+      return gate.wait_for_count(1);
+    }));
+  }
+  ASSERT_TRUE(blocked.wait_for_count(3));
+  // The fourth worker runs a section whose runners can find no free worker:
+  // its caller must finish every chunk alone.
+  std::vector<int> hits(100, 0);
+  auto nested = pool.submit([&] {
+    pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  });
+  const bool nested_done = nested.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  gate.arrive();
+  for (auto& b : blockers) EXPECT_TRUE(b.get());
+  ASSERT_TRUE(nested_done) << "nested section stalled behind blocked workers";
+  nested.get();
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, SectionCompletesOnCallerWhenEveryWorkerIsBlocked) {
+  ThreadPool pool(4);
+  Arrivals gate;
+  Arrivals blocked;
+  std::vector<std::future<bool>> blockers;
+  for (int i = 0; i < 4; ++i) {
+    blockers.push_back(pool.submit([&] {
+      blocked.arrive();
+      return gate.wait_for_count(1);
+    }));
+  }
+  ASSERT_TRUE(blocked.wait_for_count(4));
+  std::set<std::thread::id> ids;
+  pool.parallel_chunks(40, [&](std::size_t, std::size_t) {
+    ids.insert(std::this_thread::get_id());  // only the caller can be here
+  });
+  gate.arrive();
+  for (auto& b : blockers) EXPECT_TRUE(b.get());
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+}
+
+TEST(ThreadPool, SectionExceptionsRethrowInChunkOrder) {
+  // Chunks finish in any order; the rethrown failure is the lowest-index one.
+  ThreadPool pool(4);
+  for (int round = 0; round < 50; ++round) {
+    try {
+      pool.parallel_chunks(8, [](std::size_t begin, std::size_t) {
+        if (begin != 0) throw std::runtime_error(std::to_string(begin));
+      });
+      FAIL() << "expected a throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "2");  // 8 items over 4 chunks: begins 0, 2, 4, 6
+    }
+    try {
+      pool.parallel_chunks(8, [](std::size_t begin, std::size_t) {
+        throw std::runtime_error(std::to_string(begin));
+      });
+      FAIL() << "expected a throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "0");
+    }
+  }
+}
+
+TEST(ThreadPool, BackToBackSectionsLeaveNoStaleRunnerHazard) {
+  // Runners can wake after their section returned. Each section here owns
+  // short-lived stack state; a stale runner that touched it would be a
+  // use-after-scope (ASan) or a race (TSan), and a lost chunk would show as
+  // a missing hit. Nested sections add runners from inside tasks.
+  ThreadPool pool(4);
+  for (int s = 0; s < 1000; ++s) {
+    std::vector<int> hits(7 + s % 13, 0);
+    if (s % 4 == 0) {
+      pool.submit([&] {
+        pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+      }).get();
+    } else {
+      pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+    }
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i], 1) << "section " << s << " index " << i;
+  }
 }
 
 TEST(ThreadPool, ResolveThreadCountPrefersExplicitRequest) {
