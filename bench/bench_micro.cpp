@@ -22,6 +22,8 @@
 #include "nn/conv.hpp"
 #include "nn/sequential.hpp"
 #include "obs/observability.hpp"
+#include "oracle/naive_conv.hpp"
+#include "oracle/reference_gemm.hpp"
 #include "service/coalescer.hpp"
 #include "service/queue.hpp"
 #include "service/tenant.hpp"
@@ -51,33 +53,35 @@ BENCHMARK(BM_MatrixMatmul)->Arg(32)->Arg(64)->Arg(128);
 // --- Tiled vs reference GEMM (docs/PERFORMANCE.md) ---
 //
 // The cache-blocked kernel (nn/gemm_tiled.hpp) carries serving-scale
-// committee batches; the reference i-k-j loop is retained as the readable
-// spec. The perf-regression gate is time(reference) / time(tiled) >= 2 at
-// 512x512x512 (scripts/bench_json.sh). Both kernels produce byte-identical
-// outputs (tests/test_gemm_tiled.cpp). Dense operands: the zero-skip branch
-// never fires, so this measures the pure blocking/vectorization win.
+// committee batches; the reference i-k-j loop is the readable spec, kept in
+// the test-only oracle (tests/oracle). The perf-regression gate is
+// time(reference) / time(tiled) >= 2 at 512x512x512 (scripts/bench_json.sh).
+// Both kernels produce byte-identical outputs (tests/test_gemm_tiled.cpp).
+// Dense operands: the zero-skip branch never fires, so this measures the
+// pure blocking/vectorization win.
 
-void gemm_bench(benchmark::State& state, nn::GemmKernel kernel) {
+template <typename MatmulFn>
+void gemm_bench(benchmark::State& state, MatmulFn matmul) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
   nn::Matrix a(n, n), b(n, n);
   for (double& v : a.data()) v = rng.uniform(-1, 1);
   for (double& v : b.data()) v = rng.uniform(-1, 1);
-  nn::Matrix::set_gemm_kernel(kernel);
   for (auto _ : state) {
-    nn::Matrix c = a.matmul(b);
+    nn::Matrix c = matmul(a, b);
     benchmark::DoNotOptimize(c.data().data());
   }
-  nn::Matrix::set_gemm_kernel(nn::GemmKernel::kTiled);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * n * n));
 }
 
-void BM_GemmTiled(benchmark::State& state) { gemm_bench(state, nn::GemmKernel::kTiled); }
+void BM_GemmTiled(benchmark::State& state) {
+  gemm_bench(state, [](const nn::Matrix& a, const nn::Matrix& b) { return a.matmul(b); });
+}
 BENCHMARK(BM_GemmTiled)->Arg(128)->Arg(512);
 
 void BM_GemmReference(benchmark::State& state) {
-  gemm_bench(state, nn::GemmKernel::kRowMajorReference);
+  gemm_bench(state, nn::oracle::reference_matmul);
 }
 BENCHMARK(BM_GemmReference)->Arg(128)->Arg(512);
 
@@ -85,10 +89,11 @@ BENCHMARK(BM_GemmReference)->Arg(128)->Arg(512);
 //
 // Args = {batch, layer}: layer 0 is the VGG16-like first conv
 // ({1,16,16} -> 8ch, 3x3), layer 1 the second ({8,8,8} -> 16ch, 3x3).
-// The *Naive variants run the retained reference kernels on the same
-// shapes; the perf-regression gate is time(naive) / time(im2col) >= 3 at
-// these shapes (scripts/bench_json.sh records both in BENCH_micro.json).
-// Both paths produce byte-identical outputs (tests/test_nn_kernels.cpp).
+// The *Naive variants run the oracle's naive reference kernels
+// (oracle::NaiveConv2D over the same weights) on the same shapes; the
+// perf-regression gate is time(naive) / time(im2col) >= 3 at these shapes
+// (scripts/bench_json.sh records both in BENCH_micro.json). Both paths
+// produce byte-identical outputs (tests/test_nn_kernels.cpp).
 
 nn::Shape3 conv_bench_shape(int layer) {
   return layer == 0 ? nn::Shape3{1, 16, 16} : nn::Shape3{8, 8, 8};
@@ -96,64 +101,60 @@ nn::Shape3 conv_bench_shape(int layer) {
 
 std::size_t conv_bench_channels(int layer) { return layer == 0 ? 8 : 16; }
 
-void conv_forward_bench(benchmark::State& state, nn::ConvKernelMode mode) {
+// ConvLayer is nn::Conv2D or nn::oracle::NaiveConv2D, either one over the
+// weights of a freshly initialised Conv2D.
+template <typename ConvLayer>
+void conv_forward_bench(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const int layer = static_cast<int>(state.range(1));
   const nn::Shape3 in = conv_bench_shape(layer);
   Rng rng(2);
-  nn::Conv2D conv(in, conv_bench_channels(layer), 3, rng);
+  ConvLayer conv(nn::Conv2D(in, conv_bench_channels(layer), 3, rng));
   nn::Matrix x(batch, in.size());
   for (double& v : x.data()) v = rng.uniform(0, 1);
-  nn::Conv2D::set_kernel_mode(mode);
   nn::Matrix y;
   conv.forward_into(x, y, false);  // warm-up sizes the workspace once
   for (auto _ : state) {
     conv.forward_into(x, y, false);
     benchmark::DoNotOptimize(y.data().data());
   }
-  nn::Conv2D::set_kernel_mode(nn::ConvKernelMode::kIm2col);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
 
-void BM_Conv2DForward(benchmark::State& state) {
-  conv_forward_bench(state, nn::ConvKernelMode::kIm2col);
-}
+void BM_Conv2DForward(benchmark::State& state) { conv_forward_bench<nn::Conv2D>(state); }
 BENCHMARK(BM_Conv2DForward)->Args({1, 0})->Args({32, 0})->Args({32, 1});
 
 void BM_Conv2DForwardNaive(benchmark::State& state) {
-  conv_forward_bench(state, nn::ConvKernelMode::kNaiveReference);
+  conv_forward_bench<nn::oracle::NaiveConv2D>(state);
 }
 BENCHMARK(BM_Conv2DForwardNaive)->Args({1, 0})->Args({32, 0})->Args({32, 1});
 
-void conv_backward_bench(benchmark::State& state, nn::ConvKernelMode mode) {
+template <typename ConvLayer>
+void conv_backward_bench(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const int layer = static_cast<int>(state.range(1));
   const nn::Shape3 in = conv_bench_shape(layer);
   Rng rng(2);
-  nn::Conv2D conv(in, conv_bench_channels(layer), 3, rng);
+  ConvLayer conv(nn::Conv2D(in, conv_bench_channels(layer), 3, rng));
   nn::Matrix x(batch, in.size());
   for (double& v : x.data()) v = rng.uniform(0, 1);
   nn::Matrix g(batch, conv.output_size());
   for (double& v : g.data()) v = rng.uniform(-1, 1);
-  nn::Conv2D::set_kernel_mode(mode);
   conv.forward(x, true);
   for (auto _ : state) {
     nn::Matrix gx = conv.backward(g);
     benchmark::DoNotOptimize(gx.data().data());
   }
-  nn::Conv2D::set_kernel_mode(nn::ConvKernelMode::kIm2col);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
 
-void BM_Conv2DBackward(benchmark::State& state) {
-  conv_backward_bench(state, nn::ConvKernelMode::kIm2col);
-}
+void BM_Conv2DBackward(benchmark::State& state) { conv_backward_bench<nn::Conv2D>(state); }
 BENCHMARK(BM_Conv2DBackward)->Args({32, 0})->Args({32, 1});
 
 void BM_Conv2DBackwardNaive(benchmark::State& state) {
-  conv_backward_bench(state, nn::ConvKernelMode::kNaiveReference);
+  conv_backward_bench<nn::oracle::NaiveConv2D>(state);
 }
 BENCHMARK(BM_Conv2DBackwardNaive)->Args({32, 0})->Args({32, 1});
 
@@ -174,9 +175,10 @@ nn::Sequential vgg16_like_bench_model(Rng& rng) {
   return model;
 }
 
-void sequential_train_step_bench(benchmark::State& state, nn::ConvKernelMode mode) {
+void sequential_train_step_bench(benchmark::State& state, bool naive) {
   Rng rng(5);
   nn::Sequential model = vgg16_like_bench_model(rng);
+  if (naive) model = nn::oracle::with_naive_convolutions(model);
   const std::size_t batch = 32;
   nn::Matrix x(batch, model.input_size());
   for (double& v : x.data()) v = rng.uniform(0, 1);
@@ -186,25 +188,23 @@ void sequential_train_step_bench(benchmark::State& state, nn::ConvKernelMode mod
   cfg.epochs = 1;
   cfg.batch_size = batch;
   cfg.shuffle = false;
-  nn::Conv2D::set_kernel_mode(mode);
   Rng fit_rng(9);
   model.fit(x, y, cfg, fit_rng);  // warm-up sizes the workspace once
   for (auto _ : state) {
     const auto stats = model.fit(x, y, cfg, fit_rng);
     benchmark::DoNotOptimize(stats.data());
   }
-  nn::Conv2D::set_kernel_mode(nn::ConvKernelMode::kIm2col);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
 
 void BM_SequentialTrainStep(benchmark::State& state) {
-  sequential_train_step_bench(state, nn::ConvKernelMode::kIm2col);
+  sequential_train_step_bench(state, /*naive=*/false);
 }
 BENCHMARK(BM_SequentialTrainStep);
 
 void BM_SequentialTrainStepNaive(benchmark::State& state) {
-  sequential_train_step_bench(state, nn::ConvKernelMode::kNaiveReference);
+  sequential_train_step_bench(state, /*naive=*/true);
 }
 BENCHMARK(BM_SequentialTrainStepNaive);
 

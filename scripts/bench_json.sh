@@ -5,8 +5,8 @@
 #
 # Usage: scripts/bench_json.sh [--quick] [--build-dir DIR] [--out FILE]
 #
-# Default (full) mode runs the perf-gate set — conv forward/backward in both
-# kernel modes, the tiled-vs-reference GEMM pair, the VGG16-like Sequential
+# Default (full) mode runs the perf-gate set — conv forward/backward against
+# the naive oracle, the tiled-vs-reference GEMM pair, the VGG16-like Sequential
 # train step, committee inference, the CQC retrain in both GBDT split
 # engines, the artifact-cache cold/warm retrain pair (BM_CqcRetrainCachedCold
 # vs BM_CqcRetrainCachedWarm; docs/CACHING.md), the multi-tenant service

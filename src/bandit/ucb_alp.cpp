@@ -179,8 +179,24 @@ double UcbAlpPolicy::choose(std::size_t context) {
   const double rho = std::max(remaining_budget_, 0.0) / static_cast<double>(rounds);
 
   last_solution_ = solve_alp(ucb_estimates(), cfg_.action_costs, cfg_.context_probs, rho);
-  const std::size_t k = rng_.categorical(last_solution_.probs[context]);
-  const double cents = cfg_.action_costs[k];
+  std::size_t k = rng_.categorical(last_solution_.probs[context]);
+
+  // The ALP meets the budget only in expectation, so a sampled level can
+  // overdraw it near the end of the horizon. Clamp to the most expensive
+  // level that still leaves the cheapest level's cost for every later
+  // round (the cheapest level when none does). The draw above is unchanged,
+  // so the RNG stream is too.
+  const std::vector<double>& costs = cfg_.action_costs;
+  const std::size_t cheapest = static_cast<std::size_t>(
+      std::distance(costs.begin(), std::min_element(costs.begin(), costs.end())));
+  const double affordable =
+      remaining_budget_ - costs[cheapest] * static_cast<double>(rounds - 1) + 1e-9;
+  if (costs[k] > affordable) {
+    k = cheapest;
+    for (std::size_t i = 0; i < costs.size(); ++i)
+      if (costs[i] <= affordable && costs[i] > costs[k]) k = i;
+  }
+  const double cents = costs[k];
 
   remaining_budget_ -= cents;
   if (remaining_rounds_ > 0) --remaining_rounds_;

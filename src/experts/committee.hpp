@@ -33,9 +33,10 @@ class ExpertCommittee {
   /// land in preallocated per-index slots, and training RNG streams are
   /// forked from the master seed before dispatch. The pool is also forwarded
   /// to every expert so their im2col/GEMM kernels can chunk batch work when
-  /// the committee-level loops run serially; nested parallel sections run
-  /// inline on the worker (ThreadPool nesting rule), so the determinism
-  /// contract holds at every level.
+  /// the committee-level loops run serially. A nested parallel section takes
+  /// its calling worker as one of its runners and idle workers help with its
+  /// chunks (ThreadPool nesting rule); chunk boundaries never depend on who
+  /// runs them, so the determinism contract holds at every level.
   void set_thread_pool(util::ThreadPool* pool);
   util::ThreadPool* thread_pool() const { return pool_; }
 

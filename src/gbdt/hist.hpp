@@ -27,8 +27,10 @@
 namespace crowdlearn::gbdt {
 
 /// Which split search a Gbdt fit runs. Histogram is the production default;
-/// the exact engine is retained as the differential-testing reference, the
-/// same pattern as nn::ConvKernelMode::kNaiveReference.
+/// the exact engine is retained as the differential-testing reference. It
+/// is a per-model config (carried by CQC, the artifact-cache key and the
+/// GBT2 format byte), unlike the NN reference kernels, which live only in
+/// the test-only oracle.
 enum class SplitEngine : std::uint8_t {
   kHistogram = 0,
   kExactReference = 1,

@@ -1,7 +1,6 @@
 #include "nn/conv.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,8 +11,6 @@
 namespace crowdlearn::nn {
 
 namespace {
-
-std::atomic<ConvKernelMode> g_kernel_mode{ConvKernelMode::kIm2col};
 
 /// Static-chunk [0, n) over the pool (serial when null/single-threaded).
 /// Every chunked loop below writes disjoint preallocated slots and keeps
@@ -29,14 +26,6 @@ void run_chunks(util::ThreadPool* pool, std::size_t n, std::size_t min_grain, Ch
 }
 
 }  // namespace
-
-void Conv2D::set_kernel_mode(ConvKernelMode m) {
-  g_kernel_mode.store(m, std::memory_order_relaxed);
-}
-
-ConvKernelMode Conv2D::kernel_mode() {
-  return g_kernel_mode.load(std::memory_order_relaxed);
-}
 
 Conv2D::Conv2D(Shape3 input_shape, std::size_t out_channels, std::size_t kernel, Rng& rng)
     : in_shape_(input_shape),
@@ -65,8 +54,7 @@ Conv2D::Conv2D(const Conv2D& o)
       w_(o.w_),
       b_(o.b_),
       dw_(o.dw_),
-      db_(o.db_),
-      last_mode_(o.last_mode_) {}
+      db_(o.db_) {}
 
 Conv2D::~Conv2D() = default;
 
@@ -93,29 +81,13 @@ void Conv2D::forward_into(const Matrix& input, Matrix& out, bool training) {
   if (input.cols() != in_shape_.size())
     throw std::invalid_argument("Conv2D::forward: input width mismatch");
 #ifndef NDEBUG
-  // The zero-skips in both kernel flavors drop 0*inf = NaN terms, which is
-  // only sound when inputs and parameters are finite (see docs/PERFORMANCE.md
-  // and tests/test_nn_kernels.cpp, which pin these semantics).
+  // The GEMM's zero-skip drops 0*inf = NaN terms, which is only sound when
+  // inputs and parameters are finite (see docs/PERFORMANCE.md and
+  // tests/test_nn_kernels.cpp, which pin these semantics).
   input.debug_check_finite("Conv2D input");
   w_.debug_check_finite("Conv2D weights");
   b_.debug_check_finite("Conv2D bias");
 #endif
-  const ConvKernelMode mode = kernel_mode();
-  last_mode_ = mode;
-  if (mode == ConvKernelMode::kNaiveReference) {
-    // The training flag gates the backward state: inference forwards skip
-    // the full input copy the original implementation always paid.
-    cached_input_ = training ? input : Matrix();
-    have_fwd_state_ = false;
-    out.reshape(input.rows(), out_shape_.size());
-    kernels::naive_conv2d_forward(geometry(), w_, b_, input, out);
-    cached_output_ = out;  // Grad-CAM reads this even at inference
-  } else {
-    forward_im2col(input, out, training);
-  }
-}
-
-void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
   Workspace& ws = scratch();
   util::ThreadPool* pool = ws.pool();
   const std::size_t batch = input.rows();
@@ -133,8 +105,9 @@ void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
   kernels::transpose_weights(w_, wt);
   // Per output element this accumulates bias + ascending-(ic,ky,kx) products
   // with the `a == 0.0` skip on the im2col value — exactly the term sequence
-  // (and skip set: padding and in-bounds zeros alike) of the naive kernel,
-  // so the doubles are byte-identical. Rows are independent, hence chunkable.
+  // (and skip set: padding and in-bounds zeros alike) of the naive reference
+  // loop, so the doubles are byte-identical. Rows are independent, hence
+  // chunkable.
   run_chunks(pool, batch * hw, /*min_grain=*/32, [&](std::size_t rb, std::size_t re) {
     kernels::fill_bias_rows(b_, om, rb, re);
     cols.matmul_rows_accumulate(wt, om, rb, re);
@@ -152,7 +125,6 @@ void Conv2D::forward_im2col(const Matrix& input, Matrix& out, bool training) {
   // input the weight gradient needs, so no separate input copy is kept.
   have_fwd_state_ = training;
   fwd_batch_ = batch;
-  cached_input_ = Matrix();
 }
 
 Matrix Conv2D::backward(const Matrix& grad_output) {
@@ -161,26 +133,7 @@ Matrix Conv2D::backward(const Matrix& grad_output) {
   return grad_input;
 }
 
-void Conv2D::backward_into(const Matrix& grad_output, Matrix& grad_input) {
-  if (last_mode_ == ConvKernelMode::kNaiveReference) {
-    if (cached_input_.empty()) throw std::logic_error("Conv2D::backward before forward");
-    grad_input.reshape(cached_input_.rows(), in_shape_.size());  // zero-filled by the kernel
-    kernels::naive_conv2d_backward(geometry(), w_, cached_input_, grad_output, grad_input,
-                                   dw_, db_);
-    return;
-  }
-  backward_im2col(grad_output, grad_input);
-}
-
 void Conv2D::accumulate_param_grads(const Matrix& grad_output) {
-  if (last_mode_ == ConvKernelMode::kNaiveReference) {
-    backward(grad_output);
-    return;
-  }
-  param_grads_im2col(grad_output);
-}
-
-void Conv2D::param_grads_im2col(const Matrix& grad_output) {
   if (!have_fwd_state_)
     throw std::logic_error("Conv2D::backward before forward (training pass required)");
   if (grad_output.rows() != fwd_batch_ || grad_output.cols() != out_shape_.size())
@@ -212,8 +165,8 @@ void Conv2D::param_grads_im2col(const Matrix& grad_output) {
              });
 }
 
-void Conv2D::backward_im2col(const Matrix& grad_output, Matrix& grad_input) {
-  param_grads_im2col(grad_output);
+void Conv2D::backward_into(const Matrix& grad_output, Matrix& grad_input) {
+  accumulate_param_grads(grad_output);
   Workspace& ws = scratch();
   util::ThreadPool* pool = ws.pool();
   const std::size_t batch = fwd_batch_;

@@ -13,17 +13,11 @@ namespace crowdlearn::nn {
 
 class Workspace;
 
-/// Which convolution kernels Conv2D routes through. kIm2col (the default)
-/// lowers to order-preserving GEMM calls over workspace buffers;
-/// kNaiveReference is the original 7-deep loop, retained for the
-/// equivalence tests and the perf-regression baseline benchmarks. The two
-/// produce byte-identical outputs (tests/test_nn_kernels.cpp).
-enum class ConvKernelMode { kIm2col, kNaiveReference };
-
 /// 2-D convolution with square kernels, stride 1 and zero "same" padding so
 /// the spatial dimensions are preserved. The compute path is im2col + GEMM
-/// over reusable workspace buffers (see docs/PERFORMANCE.md); the original
-/// naive kernels survive behind ConvKernelMode::kNaiveReference.
+/// over reusable workspace buffers (see docs/PERFORMANCE.md). The original
+/// naive loops it reproduces bit for bit live in the test-only oracle
+/// (tests/oracle/naive_conv.hpp).
 class Conv2D : public Layer {
  public:
   Conv2D(Shape3 input_shape, std::size_t out_channels, std::size_t kernel, Rng& rng);
@@ -42,7 +36,7 @@ class Conv2D : public Layer {
   void forward_into(const Matrix& input, Matrix& out, bool training) override;
   Matrix backward(const Matrix& grad_output) override;
   void backward_into(const Matrix& grad_output, Matrix& grad_input) override;
-  /// On the im2col path, stops after dW/db (no input-gradient GEMM).
+  /// Stops after dW/db (no input-gradient GEMM).
   void accumulate_param_grads(const Matrix& grad_output) override;
   void bind_workspace(Workspace* ws, std::size_t layer_id) override;
   std::vector<Param> params() override;
@@ -66,11 +60,6 @@ class Conv2D : public Layer {
   /// inference too, unlike the backward scratch).
   Tensor3 last_activation(std::size_t sample) const;
 
-  /// Process-wide kernel selector for tests and benchmarks. Not for use
-  /// while forward/backward passes are in flight on other threads.
-  static void set_kernel_mode(ConvKernelMode m);
-  static ConvKernelMode kernel_mode();
-
  private:
   Shape3 in_shape_, out_shape_;
   std::size_t k_;    // kernel side
@@ -78,20 +67,15 @@ class Conv2D : public Layer {
   Matrix w_;         // (out_c, in_c * k * k)
   Matrix b_;         // (1, out_c)
   Matrix dw_, db_;
-  Matrix cached_input_;   // naive mode only, and only when training
-  Matrix cached_output_;  // Grad-CAM source; kept in every mode
+  Matrix cached_output_;  // Grad-CAM source; kept at inference too
   Workspace* ws_ = nullptr;            ///< not owned; bound by Sequential
   std::unique_ptr<Workspace> own_ws_;  ///< lazy fallback for standalone use
   std::size_t layer_id_ = 0;
   bool have_fwd_state_ = false;  ///< im2col cols retained for backward?
   std::size_t fwd_batch_ = 0;
-  ConvKernelMode last_mode_ = ConvKernelMode::kIm2col;  ///< mode of last forward
 
   kernels::ConvGeometry geometry() const { return {in_shape_, out_shape_, k_, pad_}; }
   Workspace& scratch();
-  void forward_im2col(const Matrix& input, Matrix& out, bool training);
-  void param_grads_im2col(const Matrix& grad_output);
-  void backward_im2col(const Matrix& grad_output, Matrix& grad_input);
 };
 
 /// 2x2 max pooling with stride 2. Requires even spatial dimensions.

@@ -1,20 +1,16 @@
 #pragma once
-// Convolution compute kernels, in two interchangeable flavors:
-//
-//  * naive_conv2d_forward/backward — the original 7-deep reference loops,
-//    retained verbatim. They define the bit patterns everything else must
-//    reproduce, and they are what the perf-regression benchmarks compare
-//    against (BM_Conv2DForwardNaive etc.).
-//  * the im2col building blocks Conv2D assembles into GEMM calls. The
-//    im2col column order matches the naive `(ic*k + ky)*k + kx` reduction
-//    order exactly, and Matrix::matmul's `a == 0.0` left-operand skip is
-//    the same skip set as the naive kernels' `v != 0.0` / `g == 0.0` /
-//    bounds checks — so both flavors accumulate identical term sequences
-//    and produce byte-identical doubles (tests/test_nn_kernels.cpp). One
-//    exception: the weight-gradient GEMM (dW += G_s * Xcol_s, see Conv2D)
-//    also adds grad * 0.0 at padding columns the naive loop skips. That is
-//    bit-neutral only while dW never holds -0.0 on entry, which the
-//    optimizers' fill(0.0) guarantees.
+// The im2col building blocks Conv2D assembles into GEMM calls. They
+// reproduce the original naive 7-deep convolution loops (kept as the
+// test-only oracle in tests/oracle/naive_conv.hpp, and timed against by the
+// BM_*Naive benchmarks) bit for bit: the im2col column order matches the
+// naive `(ic*k + ky)*k + kx` reduction order exactly, and the GEMM's
+// `a == 0.0` left-operand skip is the same skip set as the naive kernels'
+// `v != 0.0` / `g == 0.0` / bounds checks — so both accumulate identical
+// term sequences and produce byte-identical doubles
+// (tests/test_nn_kernels.cpp). One exception: the weight-gradient GEMM
+// (dW += G_s * Xcol_s, see Conv2D) also adds grad * 0.0 at padding columns
+// the naive loop skips. That is bit-neutral only while dW never holds -0.0
+// on entry, which the optimizers' fill(0.0) guarantees.
 //
 // All kernels assume stride 1, square odd kernels, and "same" zero padding
 // pad = (k-1)/2, i.e. identical input and output spatial dimensions. See
@@ -34,24 +30,6 @@ struct ConvGeometry {
   std::size_t k = 0;    // kernel side (odd)
   std::size_t pad = 0;  // (k - 1) / 2
 };
-
-// --- naive reference ------------------------------------------------------
-
-/// Reference forward: out(s, (oc,y,x)) = b(0,oc) + sum over (ic,ky,kx) of
-/// in-bounds nonzero input * weight, accumulated in ascending (ic,ky,kx)
-/// order. `out` must be pre-shaped (batch x out.size()); every entry is
-/// written.
-void naive_conv2d_forward(const ConvGeometry& g, const Matrix& w, const Matrix& b,
-                          const Matrix& input, Matrix& out);
-
-/// Reference backward. `grad_input` must be pre-shaped (batch x in.size())
-/// and is zero-filled here; `dw`/`db` are accumulated into (+=), matching
-/// the layer's cross-batch gradient accumulation semantics.
-void naive_conv2d_backward(const ConvGeometry& g, const Matrix& w, const Matrix& cached_input,
-                           const Matrix& grad_output, Matrix& grad_input, Matrix& dw,
-                           Matrix& db);
-
-// --- im2col building blocks -----------------------------------------------
 
 /// Lower samples [sample_begin, sample_end) of `src` into `cols`: row
 /// s*H*W + (y*W + x) holds the k x k window around (y, x) for every channel,

@@ -1,13 +1,14 @@
 #pragma once
-// Shared body of the cache-blocked GEMM kernel (GemmKernel::kTiled). This
-// header is compiled into two translation units — gemm_tiled_generic.cpp
+// Shared body of the cache-blocked GEMM kernel behind Matrix's matmul
+// family. This header is compiled into two translation units — gemm_tiled_generic.cpp
 // (portable baseline ISA) and gemm_tiled_avx512.cpp (wider vectors, built
 // only when the compiler supports -mavx512f) — and Matrix picks one at
 // runtime. The ISA split lives at the TU boundary, not in a target
 // attribute, because GCC's target("avx512f") quietly licenses FMA
 // contraction, and a fused multiply-add rounds once where the contract
-// requires twice: the bits would drift from the reference kernel. The
-// AVX-512 TU is therefore compiled with -ffp-contract=off.
+// requires twice: the bits would drift from the i-k-j reference loop (the
+// test-only oracle in tests/oracle/reference_gemm.hpp). The AVX-512 TU is
+// therefore compiled with -ffp-contract=off.
 //
 // The blocking is order-preserving. Per output element out(i,j) the
 // contract (see Matrix::matmul_rows_into) is: products accumulate in

@@ -1,7 +1,6 @@
 #include "nn/matrix.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -24,8 +23,6 @@ void gemm_tiled_rows_avx512(const double* a, const double* b, double* out,
 
 namespace {
 
-std::atomic<GemmKernel> g_gemm_kernel{GemmKernel::kTiled};
-
 using GemmRowsFn = void (*)(const double*, const double*, double*, std::size_t, std::size_t,
                             std::size_t, std::size_t);
 
@@ -41,12 +38,6 @@ GemmRowsFn resolve_tiled_kernel() {
 const GemmRowsFn g_tiled_rows = resolve_tiled_kernel();
 
 }  // namespace
-
-void Matrix::set_gemm_kernel(GemmKernel k) {
-  g_gemm_kernel.store(k, std::memory_order_relaxed);
-}
-
-GemmKernel Matrix::gemm_kernel() { return g_gemm_kernel.load(std::memory_order_relaxed); }
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
@@ -144,13 +135,15 @@ void Matrix::matmul_rows_accumulate(const Matrix& other, Matrix& out, std::size_
 void Matrix::gemm_rows_accumulate(const double* a, const double* b, double* out,
                                   std::size_t row_begin, std::size_t row_end, std::size_t k_dim,
                                   std::size_t p) {
-  // Both kernels share the per-element contract: out(i,j) accumulates its
-  // products in ascending-k order, in place, with the `a == 0.0` left-operand
-  // skip. That skip is load-bearing twice over: it is the perf win on sparse
-  // (post-ReLU / zero-padded im2col) left operands, and the convolution
-  // kernels rely on it matching the naive kernels' `v != 0.0` / `g == 0.0`
-  // skips term-for-term. It silently drops 0*inf = NaN, hence the finite-
-  // input contract asserted by matmul_rows_accumulate in debug builds.
+  // The per-element contract, shared with the i-k-j reference loop the
+  // test-only oracle keeps (tests/oracle/reference_gemm.hpp): out(i,j)
+  // accumulates its products in ascending-k order, in place, with the
+  // `a == 0.0` left-operand skip. That skip is load-bearing twice over: it
+  // is the perf win on sparse (post-ReLU / zero-padded im2col) left
+  // operands, and the convolution relies on it matching the naive
+  // reference's `v != 0.0` / `g == 0.0` skips term-for-term. It silently
+  // drops 0*inf = NaN, hence the finite-input contract asserted by
+  // matmul_rows_accumulate in debug builds.
   if (p == 1) {
     // Single-column fast path (e.g. the transposed-conv GEMM of a 1-channel
     // input layer): each out(i,0) still accumulates ascending-k with the same
@@ -169,25 +162,10 @@ void Matrix::gemm_rows_accumulate(const double* a, const double* b, double* out,
     }
     return;
   }
-  if (gemm_kernel() == GemmKernel::kRowMajorReference) {
-    // Historical i-k-j loop: stride-1 over both operands, but for every
-    // output row it re-streams all of B — the L2 miss bill that motivates
-    // the tiled kernel below.
-    for (std::size_t i = row_begin; i < row_end; ++i) {
-      for (std::size_t k = 0; k < k_dim; ++k) {
-        const double av = a[i * k_dim + k];
-        if (av == 0.0) continue;
-        const double* brow = &b[k * p];
-        double* orow = &out[i * p];
-        for (std::size_t j = 0; j < p; ++j) orow[j] += av * brow[j];
-      }
-    }
-    return;
-  }
   // Cache-blocked kernel (nn/gemm_tiled.hpp): (j, k) panels with row-quad
   // register blocking, order-preserving by construction — every out(i,j)
-  // receives the same ascending-k add sequence as the reference loop above,
-  // so the bits are identical (tests/test_gemm_tiled.cpp).
+  // receives the same ascending-k add sequence as the reference loop, so
+  // the bits are identical (tests/test_gemm_tiled.cpp).
   g_tiled_rows(a, b, out, row_begin, row_end, k_dim, p);
 }
 

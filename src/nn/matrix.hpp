@@ -1,23 +1,14 @@
 #pragma once
 // Dense row-major matrix of doubles — the numeric workhorse for the
-// from-scratch neural-network library. Sized for the small models this
-// reproduction trains (16x16 inputs, tiny CNN/MLPs), so clarity is favored
-// over blocking/vectorization tricks.
+// from-scratch neural-network library. The matmul family runs one
+// order-preserving, cache-blocked GEMM (nn/gemm_tiled.hpp), bit-identical
+// to the i-k-j reference loop kept in the test-only oracle.
 
 #include <cstddef>
 #include <functional>
 #include <vector>
 
 namespace crowdlearn::nn {
-
-/// Which GEMM kernel backs the matmul family. kTiled (the default) is the
-/// cache-blocked kernel that carries serving-scale batches;
-/// kRowMajorReference is the original i-k-j loop, retained as the readable
-/// spec and the differential-test / perf-regression baseline. The tiling is
-/// order-preserving — every out(i,j) still receives its products in
-/// ascending-k order, with the same zero-skip — so the two kernels produce
-/// byte-identical outputs (tests/test_gemm_tiled.cpp).
-enum class GemmKernel { kTiled, kRowMajorReference };
 
 class Matrix {
  public:
@@ -71,18 +62,13 @@ class Matrix {
   /// Raw-pointer form of matmul_rows_accumulate, for operands that are
   /// slices of larger buffers (one sample's block of a batch): rows
   /// [row_begin, row_end) of out (m x p) += a (m x k_dim) * b (k_dim x p),
-  /// all row-major and contiguous. Same kernel selection (gemm_kernel(), the
-  /// p == 1 path) and the same per-element contract: ascending k, `a == 0.0`
-  /// skip. The caller guarantees the extents; nothing is checked here.
+  /// all row-major and contiguous. Same kernels (the p == 1 path, else the
+  /// cache-blocked GEMM of nn/gemm_tiled.hpp) and the same per-element
+  /// contract: ascending k, `a == 0.0` skip. The caller guarantees the
+  /// extents; nothing is checked here.
   static void gemm_rows_accumulate(const double* a, const double* b, double* out,
                                    std::size_t row_begin, std::size_t row_end,
                                    std::size_t k_dim, std::size_t p);
-
-  /// Process-wide GEMM kernel selector for tests and benchmarks — mirrors
-  /// Conv2D::set_kernel_mode. Not for use while matmuls are in flight on
-  /// other threads.
-  static void set_gemm_kernel(GemmKernel k);
-  static GemmKernel gemm_kernel();
 
   /// Throw std::domain_error if any entry is non-finite. The matmul kernels
   /// skip zero left operands, which silently drops 0*inf = NaN propagation —

@@ -8,9 +8,10 @@
 // while different tenants drain concurrently up to the pool's worker count.
 //
 // The pool's nesting rule keeps this safe: a cycle running inside a drain
-// task re-enters the same pool for committee inference, which executes
-// inline — deterministically identical to any other thread count under the
-// static-chunk contract.
+// task re-enters the same pool for committee inference and training. Each
+// such parallel section runs on the drain task's thread, helped by any idle
+// workers, and never picks up another queued lane; its static chunks make
+// the results identical at any thread count.
 
 #include <condition_variable>
 #include <cstddef>

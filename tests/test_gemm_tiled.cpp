@@ -1,13 +1,14 @@
 // Differential test battery for the cache-blocked GEMM (nn/gemm_tiled.hpp).
-// The contract under test (PR: cross-tenant inference batching + tiled GEMM):
+// The contract under test:
 //
-//   1. GemmKernel::kTiled produces byte-identical doubles to
-//      kRowMajorReference for every shape — the tiling is order-preserving,
-//      so each out(i,j) receives exactly the same products in the same
-//      ascending-k order, with the same `a == 0.0` left-operand skip.
+//   1. Matrix's tiled matmul produces byte-identical doubles to the i-k-j
+//      reference loop of the test-only oracle (oracle::reference_matmul) for
+//      every shape — the tiling is order-preserving, so each out(i,j)
+//      receives exactly the same products in the same ascending-k order,
+//      with the same `a == 0.0` left-operand skip.
 //   2. Bit identity holds at any thread count: matmul_rows_into over a row
 //      partition (how Dense fans out on the pool) composes to the same bits
-//      as one full-matrix call, for either kernel.
+//      as one full-matrix call, for the tiled kernel and the reference.
 //   3. The zero-skip semantics of test_nn_kernels carry over unchanged:
 //      -0.0 is skipped like +0.0, and 0 * inf products are dropped (sound
 //      only under the finite-input contract debug builds enforce).
@@ -25,16 +26,14 @@
 #include <vector>
 
 #include "nn/matrix.hpp"
+#include "oracle/reference_gemm.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace crowdlearn::nn {
 namespace {
 
-/// Restore the process-wide GEMM kernel when a test exits (pass or fail).
-struct GemmKernelGuard {
-  ~GemmKernelGuard() { Matrix::set_gemm_kernel(GemmKernel::kTiled); }
-};
+using oracle::reference_matmul;
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -63,11 +62,6 @@ void expect_bitwise_eq(const Matrix& a, const Matrix& b, const char* what) {
   }
 }
 
-Matrix matmul_with(GemmKernel k, const Matrix& a, const Matrix& b) {
-  Matrix::set_gemm_kernel(k);
-  return a.matmul(b);
-}
-
 struct GemmShape {
   std::size_t m, k, p;
 };
@@ -89,13 +83,12 @@ const GemmShape kShapes[] = {
 };
 
 TEST(GemmTiled, MatmulMatchesReferenceBitwise) {
-  GemmKernelGuard guard;
   for (const GemmShape& s : kShapes) {
     Rng rng(100 + s.m + s.k + s.p);
     const Matrix a = sparse_matrix(s.m, s.k, rng);
     const Matrix b = sparse_matrix(s.k, s.p, rng);
-    const Matrix ref = matmul_with(GemmKernel::kRowMajorReference, a, b);
-    const Matrix got = matmul_with(GemmKernel::kTiled, a, b);
+    const Matrix ref = reference_matmul(a, b);
+    const Matrix got = a.matmul(b);
     expect_bitwise_eq(ref, got, "matmul");
   }
 }
@@ -104,7 +97,6 @@ TEST(GemmTiled, RandomShapeFuzzMatchesReferenceBitwise) {
   // Random shapes spanning [0, 90] per dimension — including empty matrices
   // (any dimension zero), which must neither crash nor touch operand
   // storage. Dense values on even trials, ~25% zeros on odd ones.
-  GemmKernelGuard guard;
   Rng rng(4242);
   for (int trial = 0; trial < 60; ++trial) {
     const auto dim = [&rng] {
@@ -113,8 +105,8 @@ TEST(GemmTiled, RandomShapeFuzzMatchesReferenceBitwise) {
     const std::size_t m = dim(), k = dim(), p = dim();
     const Matrix a = (trial % 2 == 0) ? random_matrix(m, k, rng) : sparse_matrix(m, k, rng);
     const Matrix b = (trial % 2 == 0) ? random_matrix(k, p, rng) : sparse_matrix(k, p, rng);
-    const Matrix ref = matmul_with(GemmKernel::kRowMajorReference, a, b);
-    const Matrix got = matmul_with(GemmKernel::kTiled, a, b);
+    const Matrix ref = reference_matmul(a, b);
+    const Matrix got = a.matmul(b);
     ASSERT_EQ(got.rows(), m);
     ASSERT_EQ(got.cols(), p);
     expect_bitwise_eq(ref, got, "fuzz matmul");
@@ -124,19 +116,20 @@ TEST(GemmTiled, RandomShapeFuzzMatchesReferenceBitwise) {
 TEST(GemmTiled, RowPartitionsAreThreadCountInvariant) {
   // matmul_rows_into over the pool's static row chunks — exactly how Dense
   // fans a batch out — must compose to the bits of the single-call product,
-  // for both kernels, at 1/2/8 threads.
-  GemmKernelGuard guard;
+  // for the tiled kernel and the reference, at 1/2/8 threads.
   Rng rng(900);
   const Matrix a = sparse_matrix(70, 130, rng);
   const Matrix b = sparse_matrix(130, 300, rng);
-  const Matrix ref = matmul_with(GemmKernel::kRowMajorReference, a, b);
-  for (GemmKernel kernel : {GemmKernel::kTiled, GemmKernel::kRowMajorReference}) {
-    Matrix::set_gemm_kernel(kernel);
+  const Matrix ref = reference_matmul(a, b);
+  for (const bool tiled : {true, false}) {
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       util::ThreadPool pool(threads);
       Matrix out(a.rows(), b.cols());
       pool.parallel_chunks(a.rows(), [&](std::size_t begin, std::size_t end) {
-        a.matmul_rows_into(b, out, begin, end);
+        if (tiled)
+          a.matmul_rows_into(b, out, begin, end);
+        else
+          oracle::reference_matmul_rows_into(a, b, out, begin, end);
       });
       expect_bitwise_eq(ref, out, "partitioned matmul_rows_into");
     }
@@ -145,20 +138,18 @@ TEST(GemmTiled, RowPartitionsAreThreadCountInvariant) {
 
 TEST(GemmTiled, AccumulateSeedsBiasIdentically) {
   // matmul_rows_accumulate's contract: bias first, then ascending-k
-  // products. Both kernels must fold onto the same pre-seeded contents
-  // bit for bit (this is the Dense forward path with a bias row).
-  GemmKernelGuard guard;
+  // products. The tiled kernel and the reference must fold onto the same
+  // pre-seeded contents bit for bit (this is the Dense forward path with a
+  // bias row).
   Rng rng(77);
   const Matrix a = sparse_matrix(33, 65, rng);
   const Matrix b = sparse_matrix(65, 129, rng);
   const Matrix bias = random_matrix(33, 129, rng);
 
   Matrix ref = bias;
-  Matrix::set_gemm_kernel(GemmKernel::kRowMajorReference);
-  a.matmul_rows_accumulate(b, ref, 0, a.rows());
+  oracle::reference_matmul_rows_accumulate(a, b, ref, 0, a.rows());
 
   Matrix got = bias;
-  Matrix::set_gemm_kernel(GemmKernel::kTiled);
   a.matmul_rows_accumulate(b, got, 0, a.rows());
 
   expect_bitwise_eq(ref, got, "matmul_rows_accumulate");
@@ -168,17 +159,17 @@ TEST(GemmTiled, AccumulateSeedsBiasIdentically) {
 
 TEST(GemmTiled, NegativeZeroIsSkippedLikePositiveZero) {
   // `a == 0.0` treats -0.0 as zero (IEEE comparison), so an all--0.0 left
-  // operand contributes nothing in either kernel and the zero-filled output
-  // keeps its +0.0 bit pattern (a -0.0 + 0.0 add would flip it to +0.0 via
-  // a different path — the skip must keep both kernels on the same one).
-  GemmKernelGuard guard;
+  // operand contributes nothing in the tiled kernel or the reference, and
+  // the zero-filled output keeps its +0.0 bit pattern (a -0.0 + 0.0 add
+  // would flip it to +0.0 via a different path — the skip must keep both on
+  // the same one).
   Rng rng(13);
   Matrix a(6, 40, 0.0);
   for (double& v : a.data()) v = -0.0;
   const Matrix b = random_matrix(40, 50, rng);
 
-  const Matrix ref = matmul_with(GemmKernel::kRowMajorReference, a, b);
-  const Matrix got = matmul_with(GemmKernel::kTiled, a, b);
+  const Matrix ref = reference_matmul(a, b);
+  const Matrix got = a.matmul(b);
   expect_bitwise_eq(ref, got, "matmul with -0.0 left operand");
   for (double v : got.data())
     EXPECT_EQ(std::bit_cast<std::uint64_t>(v), std::bit_cast<std::uint64_t>(0.0));
@@ -186,31 +177,28 @@ TEST(GemmTiled, NegativeZeroIsSkippedLikePositiveZero) {
 
 TEST(GemmTiled, ZeroSkipDropsNonFiniteProductsIdentically) {
   // A zero left operand against an inf right operand: the product 0*inf =
-  // NaN is DROPPED by the skip in both kernels, so the output stays finite.
+  // NaN is DROPPED by the skip in the tiled kernel and the reference, so
+  // the output stays finite.
   // This pinned semantics is only sound under the finite-input contract,
   // which debug builds refuse up front instead.
-  GemmKernelGuard guard;
   Matrix a(5, 33, 0.0);  // all-zero: every product is skipped
   Matrix b(33, 34, 1.0);
   b(4, 7) = std::numeric_limits<double>::infinity();
 
 #ifndef NDEBUG
-  Matrix::set_gemm_kernel(GemmKernel::kTiled);
-  EXPECT_THROW(a.matmul(b), std::domain_error);
-  Matrix::set_gemm_kernel(GemmKernel::kRowMajorReference);
   EXPECT_THROW(a.matmul(b), std::domain_error);
 #else
-  const Matrix ref = matmul_with(GemmKernel::kRowMajorReference, a, b);
-  const Matrix got = matmul_with(GemmKernel::kTiled, a, b);
+  const Matrix ref = reference_matmul(a, b);
+  const Matrix got = a.matmul(b);
   expect_bitwise_eq(ref, got, "matmul with inf right operand");
   for (double v : got.data()) EXPECT_TRUE(std::isfinite(v));
 #endif
 }
 
 TEST(GemmTiled, NonFiniteLeftOperandPropagatesIdentically) {
-  // A non-zero non-finite LEFT operand is not skipped: both kernels must
-  // propagate the identical inf/NaN bit patterns (debug builds throw).
-  GemmKernelGuard guard;
+  // A non-zero non-finite LEFT operand is not skipped: the tiled kernel and
+  // the reference must propagate the identical inf/NaN bit patterns (debug
+  // builds throw).
   Rng rng(17);
   Matrix a = random_matrix(4, 40, rng);
   a(1, 5) = std::numeric_limits<double>::infinity();
@@ -218,22 +206,12 @@ TEST(GemmTiled, NonFiniteLeftOperandPropagatesIdentically) {
   const Matrix b = random_matrix(40, 37, rng);
 
 #ifndef NDEBUG
-  Matrix::set_gemm_kernel(GemmKernel::kTiled);
   EXPECT_THROW(a.matmul(b), std::domain_error);
 #else
-  const Matrix ref = matmul_with(GemmKernel::kRowMajorReference, a, b);
-  const Matrix got = matmul_with(GemmKernel::kTiled, a, b);
+  const Matrix ref = reference_matmul(a, b);
+  const Matrix got = a.matmul(b);
   expect_bitwise_eq(ref, got, "matmul with inf left operand");
 #endif
-}
-
-TEST(GemmTiled, KernelSelectorRoundTrips) {
-  GemmKernelGuard guard;
-  EXPECT_EQ(Matrix::gemm_kernel(), GemmKernel::kTiled);  // process default
-  Matrix::set_gemm_kernel(GemmKernel::kRowMajorReference);
-  EXPECT_EQ(Matrix::gemm_kernel(), GemmKernel::kRowMajorReference);
-  Matrix::set_gemm_kernel(GemmKernel::kTiled);
-  EXPECT_EQ(Matrix::gemm_kernel(), GemmKernel::kTiled);
 }
 
 }  // namespace

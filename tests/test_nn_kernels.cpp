@@ -1,10 +1,11 @@
 // Bitwise-equivalence and steady-state-allocation tests for the im2col+GEMM
-// convolution path (PR: NN compute-path rebuild). The contract under test:
+// convolution path. The contract under test:
 //
-//   1. ConvKernelMode::kIm2col produces byte-identical doubles to
-//      kNaiveReference — forward, grad_input, dw and db — at any kernel
-//      size, batch size and thread count. The GEMM reduction replays the
-//      naive accumulation order term for term (see nn/conv_kernels.hpp).
+//   1. Conv2D produces byte-identical doubles to the naive reference loops
+//      of the test-only oracle (oracle::NaiveConv2D) — forward, grad_input,
+//      dw and db — at any kernel size, batch size and thread count. The GEMM
+//      reduction replays the naive accumulation order term for term (see
+//      nn/conv_kernels.hpp).
 //   2. The zero-skip shortcuts (`v != 0.0` / `a == 0.0` / `g == 0.0`) are
 //      pinned: both paths drop 0 * x terms identically (including -0.0 and
 //      x = inf), which is only sound under the finite-input contract that
@@ -26,6 +27,7 @@
 #include "nn/conv.hpp"
 #include "nn/sequential.hpp"
 #include "nn/workspace.hpp"
+#include "oracle/naive_conv.hpp"
 #include "util/thread_pool.hpp"
 
 // --- Global allocation counter for the steady-state test -------------------
@@ -49,10 +51,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace crowdlearn::nn {
 namespace {
 
-/// Restore the process-wide kernel mode when a test exits (pass or fail).
-struct KernelModeGuard {
-  ~KernelModeGuard() { Conv2D::set_kernel_mode(ConvKernelMode::kIm2col); }
-};
+using oracle::NaiveConv2D;
 
 Matrix random_matrix(std::size_t rows, std::size_t cols, Rng& rng) {
   Matrix m(rows, cols);
@@ -95,12 +94,11 @@ const ConvCase kCases[] = {
     {{4, 5, 5}, 2, 3},
 };
 
-void zero_grads(Conv2D& conv) {
+void zero_grads(Layer& conv) {
   for (Param p : conv.params()) p.grad->fill(0.0);
 }
 
 TEST(NnKernels, ForwardMatchesNaiveBitwise) {
-  KernelModeGuard guard;
   for (const ConvCase& cs : kCases) {
     for (std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
       for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -108,14 +106,13 @@ TEST(NnKernels, ForwardMatchesNaiveBitwise) {
         Conv2D conv(cs.in, cs.out_channels, cs.kernel, rng);
         const Matrix x = sparse_matrix(batch, cs.in.size(), rng);
 
-        Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
-        const Matrix ref = conv.forward(x, false);
+        NaiveConv2D naive(conv);
+        const Matrix ref = naive.forward(x, false);
 
         util::ThreadPool pool(threads);
         Workspace ws;
         ws.set_pool(&pool);
         conv.bind_workspace(&ws, 0);
-        Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
         const Matrix got = conv.forward(x, false);
 
         expect_bitwise_eq(ref, got, "forward");
@@ -125,18 +122,16 @@ TEST(NnKernels, ForwardMatchesNaiveBitwise) {
 }
 
 TEST(NnKernels, BackwardMatchesNaiveBitwise) {
-  KernelModeGuard guard;
   for (const ConvCase& cs : kCases) {
     for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
       for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         Rng rng(200 + batch + threads);
-        Conv2D naive(cs.in, cs.out_channels, cs.kernel, rng);
-        Conv2D im2col(naive);  // identical weights
+        Conv2D im2col(cs.in, cs.out_channels, cs.kernel, rng);
+        NaiveConv2D naive(im2col);  // identical weights
         const Matrix x = sparse_matrix(batch, cs.in.size(), rng);
         // Zeros in the upstream gradient exercise the `g == 0.0` skip.
         const Matrix g = sparse_matrix(batch, cs.out_channels * cs.in.height * cs.in.width, rng);
 
-        Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
         naive.forward(x, true);
         zero_grads(naive);
         const Matrix ref_gx = naive.backward(g);
@@ -145,7 +140,6 @@ TEST(NnKernels, BackwardMatchesNaiveBitwise) {
         Workspace ws;
         ws.set_pool(&pool);
         im2col.bind_workspace(&ws, 0);
-        Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
         im2col.forward(x, true);
         zero_grads(im2col);
         const Matrix got_gx = im2col.backward(g);
@@ -164,10 +158,9 @@ TEST(NnKernels, RepeatedTrainStepsStayBitwiseEquivalent) {
   // A few forward/backward rounds through the SAME conv instance: workspace
   // buffers are reused (not re-zeroed allocations), so this catches any
   // stale-state leak between iterations.
-  KernelModeGuard guard;
   Rng rng(7);
-  Conv2D naive({2, 6, 6}, 3, 3, rng);
-  Conv2D im2col(naive);
+  Conv2D im2col({2, 6, 6}, 3, 3, rng);
+  NaiveConv2D naive(im2col);
   util::ThreadPool pool(2);
   Workspace ws;
   ws.set_pool(&pool);
@@ -175,10 +168,8 @@ TEST(NnKernels, RepeatedTrainStepsStayBitwiseEquivalent) {
   for (int step = 0; step < 4; ++step) {
     const Matrix x = sparse_matrix(3, naive.input_size(), rng);
     const Matrix g = sparse_matrix(3, naive.output_size(), rng);
-    Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
     naive.forward(x, true);
     const Matrix ref_gx = naive.backward(g);
-    Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
     im2col.forward(x, true);
     const Matrix got_gx = im2col.backward(g);
     expect_bitwise_eq(ref_gx, got_gx, "grad_input");
@@ -206,7 +197,6 @@ TEST(NnKernels, GemmWeightGradMatchesNaiveAtProductionShapes) {
   // The expert convolutions: VGG16 1->8 at 16x16 and 8->16 at 8x8, DDM
   // 1->12 at 16x16 and 12->24 at 8x8. dW/db from backward() and from
   // accumulate_param_grads() must both equal the naive kernel's bits.
-  KernelModeGuard guard;
   const ConvCase shapes[] = {
       {{1, 16, 16}, 12, 3},
       {{1, 16, 16}, 8, 3},
@@ -222,15 +212,14 @@ TEST(NnKernels, GemmWeightGradMatchesNaiveAtProductionShapes) {
                                 " batch=" + std::to_string(batch) +
                                 " threads=" + std::to_string(threads);
         Rng rng(300 + batch + threads + cs.out_channels);
-        Conv2D naive(cs.in, cs.out_channels, cs.kernel, rng);
-        Conv2D full(naive);
-        Conv2D params_only(naive);
+        Conv2D full(cs.in, cs.out_channels, cs.kernel, rng);
+        NaiveConv2D naive(full);
+        Conv2D params_only(full);
         // Layer inputs past the first conv are post-ReLU/MaxPool: sparse.
         const Matrix x = cs.in.channels == 1 ? random_matrix(batch, cs.in.size(), rng)
                                              : sparse_matrix(batch, cs.in.size(), rng);
         const Matrix g = post_relu_gradient(batch, naive.output_size(), rng);
 
-        Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
         naive.forward(x, true);
         zero_grads(naive);
         naive.backward(g);
@@ -241,7 +230,6 @@ TEST(NnKernels, GemmWeightGradMatchesNaiveAtProductionShapes) {
         ws_params.set_pool(&pool);
         full.bind_workspace(&ws_full, 0);
         params_only.bind_workspace(&ws_params, 0);
-        Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
         full.forward(x, true);
         zero_grads(full);
         full.backward(g);
@@ -266,10 +254,9 @@ TEST(NnKernels, GemmWeightGradRequiresPositiveZeroSeededDw) {
   // The GEMM adds grad * 0.0 for padding columns the naive loop never
   // touches. One sample whose only nonzero gradient sits at the (0, 0)
   // corner: there every window column with ky == 0 or kx == 0 is padding.
-  KernelModeGuard guard;
   Rng rng(43);
-  Conv2D naive({1, 4, 4}, 1, 3, rng);
-  Conv2D im2col(naive);
+  Conv2D im2col({1, 4, 4}, 1, 3, rng);
+  NaiveConv2D naive(im2col);
   Matrix x(1, 16);
   for (double& v : x.data()) v = rng.uniform(0.5, 1.0);
   Matrix g(1, 16, 0.0);
@@ -277,11 +264,9 @@ TEST(NnKernels, GemmWeightGradRequiresPositiveZeroSeededDw) {
   const std::size_t padding_col = 0;  // (ky, kx) = (0, 0)
 
   auto run = [&](double seed) {
-    Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
     naive.forward(x, true);
     for (Param p : naive.params()) p.grad->fill(seed);
     naive.backward(g);
-    Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
     im2col.forward(x, true);
     for (Param p : im2col.params()) p.grad->fill(seed);
     im2col.backward(g);
@@ -324,9 +309,9 @@ TEST(NnKernels, GemmWeightGradRequiresPositiveZeroSeededDw) {
 
 TEST(NnKernels, ZeroSkipDropsNonFiniteProductsIdentically) {
   // A zero input against an inf weight: the product 0*inf = NaN is DROPPED
-  // by the skip in both kernel flavors, so the output stays finite. This is
-  // the pinned (intentional) semantics the finite-input contract justifies.
-  KernelModeGuard guard;
+  // by the skip in both Conv2D and the naive reference, so the output stays
+  // finite. This is the pinned (intentional) semantics the finite-input
+  // contract justifies.
   Rng rng(11);
   Conv2D conv({1, 4, 4}, 2, 3, rng);
   conv.kernels()(0, 4) = std::numeric_limits<double>::infinity();
@@ -334,12 +319,9 @@ TEST(NnKernels, ZeroSkipDropsNonFiniteProductsIdentically) {
 
 #ifndef NDEBUG
   // Debug builds refuse the contract violation up front instead.
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   EXPECT_THROW(conv.forward(x, false), std::domain_error);
 #else
-  Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
-  const Matrix ref = conv.forward(x, false);
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+  const Matrix ref = NaiveConv2D(conv).forward(x, false);
   const Matrix got = conv.forward(x, false);
 
   expect_bitwise_eq(ref, got, "forward with inf weight");
@@ -355,16 +337,13 @@ TEST(NnKernels, ZeroSkipDropsNonFiniteProductsIdentically) {
 
 TEST(NnKernels, NegativeZeroIsSkippedLikePositiveZero) {
   // `v != 0.0` and `a == 0.0` both treat -0.0 as zero (IEEE comparison), so
-  // a -0.0 input contributes nothing in either path.
-  KernelModeGuard guard;
+  // a -0.0 input contributes nothing in Conv2D or the naive reference.
   Rng rng(13);
   Conv2D conv({1, 4, 4}, 2, 3, rng);
   Matrix x(1, 16, 0.0);
   for (double& v : x.data()) v = -0.0;
 
-  Conv2D::set_kernel_mode(ConvKernelMode::kNaiveReference);
-  const Matrix ref = conv.forward(x, false);
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
+  const Matrix ref = NaiveConv2D(conv).forward(x, false);
   const Matrix got = conv.forward(x, false);
   expect_bitwise_eq(ref, got, "forward with -0.0 input");
   for (std::size_t oc = 0; oc < 2u; ++oc)
@@ -387,7 +366,6 @@ TEST(NnKernels, DebugCheckFiniteEnforcesTheContract) {
 // --- Training-flag gating --------------------------------------------------
 
 TEST(NnKernels, InferenceForwardKeepsGradCamCacheButNoBackwardState) {
-  KernelModeGuard guard;
   Rng rng(17);
   Conv2D conv({1, 4, 4}, 2, 3, rng);
   const Matrix x = random_matrix(2, 16, rng);
@@ -419,8 +397,6 @@ Sequential make_small_cnn(Rng& rng) {
 }
 
 TEST(NnKernels, SteadyStateForwardIsAllocationFree) {
-  KernelModeGuard guard;
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   Rng rng(19);
   Sequential model = make_small_cnn(rng);
   const Matrix x = random_matrix(6, model.input_size(), rng);
@@ -442,7 +418,6 @@ TEST(NnKernels, SteadyStateForwardIsAllocationFree) {
 }
 
 TEST(NnKernels, WorkspaceGrowCountStabilizesAcrossBatchSizes) {
-  KernelModeGuard guard;
   Rng rng(23);
   Sequential model = make_small_cnn(rng);
   const Matrix small = random_matrix(2, model.input_size(), rng);
@@ -458,7 +433,6 @@ TEST(NnKernels, WorkspaceGrowCountStabilizesAcrossBatchSizes) {
 // --- forward() / forward_ws() agreement ------------------------------------
 
 TEST(NnKernels, ForwardWsMatchesForwardBitwise) {
-  KernelModeGuard guard;
   Rng rng(29);
   Sequential a = make_small_cnn(rng);
   Sequential b = a.clone();
@@ -471,8 +445,6 @@ TEST(NnKernels, ForwardWsMatchesForwardBitwise) {
 // --- Thread invariance of whole-model training -----------------------------
 
 TEST(NnKernels, CnnTrainingIsThreadCountInvariant) {
-  KernelModeGuard guard;
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   auto train = [](std::size_t threads) {
     Rng rng(31);
     Sequential model = make_small_cnn(rng);
@@ -529,8 +501,6 @@ TEST(NnKernels, FitSkippingFirstLayerInputGradientMatchesFullBackward) {
   // gradients (and routes gradients through its workspace). One fit step
   // must leave the parameters bit-equal to a local loop that runs the full
   // backward() through every layer, at any thread count.
-  KernelModeGuard guard;
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   std::vector<double> serial_params;
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     Rng rng(47);
@@ -579,12 +549,45 @@ TEST(NnKernels, FitSkippingFirstLayerInputGradientMatchesFullBackward) {
   }
 }
 
+TEST(NnKernels, SequentialFitMatchesNaiveConvolutionModelBitwise) {
+  // Whole-model differential: two epochs of Sequential::fit at the DDM
+  // expert's shapes, once on Conv2D and once on the oracle's naive
+  // convolutions over the same initial weights. Every parameter and every
+  // posterior must agree bit for bit, at 1 and 4 threads.
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    Rng rng(67);
+    Sequential im2col = make_ddm_shaped_cnn(rng);
+    Sequential naive = oracle::with_naive_convolutions(im2col);
+    util::ThreadPool pool(threads);
+    im2col.set_thread_pool(&pool);
+    naive.set_thread_pool(&pool);
+    Rng data_rng(71);
+    const Matrix x = random_matrix(64, im2col.input_size(), data_rng);
+    std::vector<std::size_t> y(x.rows());
+    for (std::size_t i = 0; i < y.size(); ++i) y[i] = i % 3;
+
+    TrainConfig cfg;
+    cfg.epochs = 2;
+    cfg.batch_size = 32;
+    Rng fit_im2col(73), fit_naive(73);
+    im2col.fit(x, y, cfg, fit_im2col);
+    naive.fit(x, y, cfg, fit_naive);
+
+    const std::string ctx = "threads=" + std::to_string(threads) + " ";
+    const std::vector<Param> pi = im2col.params();
+    const std::vector<Param> pn = naive.params();
+    ASSERT_EQ(pi.size(), pn.size());
+    for (std::size_t p = 0; p < pi.size(); ++p)
+      expect_bitwise_eq(*pn[p].value, *pi[p].value, (ctx + pi[p].name).c_str());
+    expect_bitwise_eq(naive.predict_proba(x), im2col.predict_proba(x),
+                      (ctx + "predict_proba").c_str());
+  }
+}
+
 TEST(NnKernels, CloneCopiesParametersButNoActivationCaches) {
   // Per-chunk inference replicas (ExpertCommittee::expert_votes_batch) are
   // clones of trained models; at training batch sizes the activation caches
   // outweigh the parameters, so a clone leaves them behind.
-  KernelModeGuard guard;
-  Conv2D::set_kernel_mode(ConvKernelMode::kIm2col);
   Rng rng(61);
   Sequential model = make_ddm_shaped_cnn(rng);
   const Matrix x = random_matrix(32, model.input_size(), rng);

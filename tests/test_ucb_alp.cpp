@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 
 #include "bandit/ucb_alp.hpp"
 
@@ -99,9 +101,39 @@ TEST(UcbAlpPolicy, StaysNearBudgetOverHorizon) {
     spent += c;
     policy.observe(ctx, c, rng.uniform(100.0, 900.0));
   }
-  // The ALP keeps spending within ~10% of the budget even with noise.
-  EXPECT_LE(spent, 800.0 * 1.1);
+  // The ALP spends most of the budget even with noise, and never more.
+  EXPECT_LE(spent, 800.0);
   EXPECT_GE(spent, 800.0 * 0.5);
+}
+
+TEST(UcbAlpPolicy, NeverOverspendsOverTheFullHorizon) {
+  // The ALP meets the budget only in expectation; the sampled level is
+  // clamped so that every remaining round can still afford the cheapest
+  // level. A warm-started policy on a short horizon (like a tenant's
+  // 64-cycle stream), with delays that reward spending, keeps the budget
+  // binding to the last round, where an unclamped draw overdraws it.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    UcbAlpConfig cfg = make_config(8.0 * 64, 64);
+    cfg.seed = seed;
+    UcbAlpPolicy policy(cfg);
+    Rng rng(seed + 1000);
+    auto delay_for = [&](double cents) {
+      return std::max(900.0 - 40.0 * cents + rng.normal(0, 60), 10.0);
+    };
+    for (int i = 0; i < 10; ++i)
+      for (std::size_t ctx = 0; ctx < 4; ++ctx)
+        for (double cents : kCosts) policy.warm_start(ctx, cents, delay_for(cents));
+    double spent = 0.0;
+    for (std::size_t t = 0; t < cfg.horizon; ++t) {
+      const std::size_t ctx = rng.index(4);
+      const double c = policy.choose(ctx);
+      spent += c;
+      ASSERT_LE(spent, cfg.total_budget_cents) << "seed " << seed << " round " << t;
+      policy.observe(ctx, c, delay_for(c));
+    }
+    EXPECT_GE(policy.remaining_budget_cents(), 0.0) << "seed " << seed;
+    EXPECT_EQ(policy.remaining_rounds(), 0u);
+  }
 }
 
 TEST(UcbAlpPolicy, LearnsContextSpecificOptimum) {
